@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import triangle
+from . import search, triangle
 from .perm_core import Permutation
 
 Point = tuple[int, int]
@@ -101,7 +101,7 @@ def is_k_costas(p: Permutation, k: int) -> bool:
     """True iff difference-triangle rows 0..k are repeat-free; always true at k=0."""
     if not 0 <= k <= p.n - 1:
         raise ValueError(f"k must be between 0 and {p.n - 1}, got {k}")
-    return triangle.distinct_through(triangle.build(p.entries), k)
+    return triangle.distinct_rows(p.entries, k)
 
 
 def is_costas(p: Permutation) -> bool:
@@ -204,7 +204,7 @@ def reverse_second_half(p: Permutation) -> Permutation:
 
 def is_costas_signed(s: SignedPermutation) -> bool:
     """True iff the triangle of the signed entries themselves has no row repeats."""
-    return triangle.distinct_through(triangle.build(s.entries), s.n - 1)
+    return triangle.distinct_rows(s.entries, s.n - 1)
 
 
 def is_costas_subpermutation(values: Sequence[int], n: int) -> bool:
@@ -214,7 +214,7 @@ def is_costas_subpermutation(values: Sequence[int], n: int) -> bool:
         return False
     if not all(1 <= v <= n for v in values):
         return False
-    return triangle.distinct_through(triangle.build(values), len(values) - 1)
+    return triangle.distinct_rows(values, len(values) - 1)
 
 
 def is_costas_half(values: Sequence[int], m: int) -> bool:
@@ -231,42 +231,13 @@ def is_costas_half(values: Sequence[int], m: int) -> bool:
 def gamma(n: int) -> tuple[int, tuple[int, ...]]:
     """Largest m with a Costas m-subpermutation of order n, plus a witness.
 
-    Depth-first over value choices in ascending order with row-repeat
-    pruning; the first witness of each record length is kept, and the search
-    stops early once m = n is reached (m = n happens exactly when a Costas
-    permutation of order n exists).
+    The walker's longest-prefix search under the Costas rule, from the empty
+    prefix over value choices in ascending order: the witness is the first
+    Costas subpermutation of the greatest length, and the search stops early
+    once m = n is reached (m = n happens exactly when a Costas permutation
+    of order n exists).
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    best_len = 0
-    best: tuple[int, ...] = ()
-
-    def extension_ok(seq: list[int]) -> bool:
-        m = len(seq)
-        last = seq[-1]
-        for k in range(1, m):
-            d = last - seq[m - 1 - k]
-            for i in range(m - 1 - k):
-                if seq[i + k] - seq[i] == d:
-                    return False
-        return True
-
-    def search(seq: list[int], used: int) -> bool:
-        nonlocal best_len, best
-        if len(seq) > best_len:
-            best_len = len(seq)
-            best = tuple(seq)
-            if best_len == n:
-                return True
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if used & bit:
-                continue
-            seq.append(v)
-            if extension_ok(seq) and search(seq, used | bit):
-                return True
-            seq.pop()
-        return False
-
-    search([], 0)
-    return best_len, best
+    best = search.longest_prefix(search.costas_prefix_ok, n)
+    return len(best), best

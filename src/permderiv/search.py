@@ -1,13 +1,19 @@
 """Exact enumeration over permutations with hereditary prefix pruning.
 
-The engine walks value choices depth-first in ascending order, masking used
-values and cutting subtrees as soon as the supplied prefix predicate fails;
+One walker serves every search: it chooses values depth-first in ascending
+order, masking used values and cutting subtrees as soon as a prefix fails;
 because the predicate is hereditary (a failing prefix never extends to an
 accepted permutation) the pruned walk visits exactly the permutations the
-naive n!-filter would accept.  Counting, collecting and optimizing share
-the same walk, and results are identical for any worker count: workers
-partition the tree by first entry and their contributions are recombined
-in first-entry order.
+naive n!-filter would accept.  Counting, collecting, optimizing and the
+longest-prefix search differ only in what they do at the walk's leaves, and
+results are identical for any worker count: workers partition the tree by
+first entry and their contributions are recombined in first-entry order.
+
+The shipped predicates are rule objects.  Called on a prefix they judge it
+whole; in the walker they step incrementally, carrying a bitmask of used
+differences per difference-triangle row, so extending a prefix costs a few
+bit operations rather than a rescan.  They are module-level and picklable.
+Any other callable is called on the full prefix at each extension.
 """
 from __future__ import annotations
 
@@ -15,9 +21,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from . import convexity
+from . import convexity, triangle
 from .perm_core import Permutation
 
 MAX_SEARCH_ORDER = 64
@@ -34,6 +40,8 @@ class SearchSpec:
     must be pure and monotone under truncation; accept, if given, filters
     complete permutations (as tuples).  For mode="optimize", objective maps a
     complete tuple to a comparable value and direction is "max" or "min".
+    The shipped rules (one_costas_prefix_ok and its relatives) step
+    incrementally and keep the spec picklable.
     """
 
     n: int
@@ -69,153 +77,172 @@ def _fraction(count: int, total: int) -> float:
     return float(q)
 
 
-def one_costas_prefix_ok(prefix: Sequence[int]) -> bool:
-    """All consecutive differences of the prefix are distinct."""
-    m = len(prefix)
-    if m < 3:
-        return True
-    seen = set()
-    for i in range(m - 1):
-        d = prefix[i + 1] - prefix[i]
-        if d in seen:
-            return False
-        seen.add(d)
-    return True
+class PrefixRule:
+    """A hereditary prefix predicate that can also extend a prefix incrementally."""
+
+    def stepper(self, n: int) -> tuple[Any, Callable[[list, Any, int], Any]]:
+        """The empty prefix's state, for values 1..n, and step(prefix, state, v):
+        the state of prefix + [v], or None when that prefix fails."""
+        raise NotImplementedError
 
 
-def costas_prefix_ok(prefix: Sequence[int]) -> bool:
-    """Every row of the prefix's difference triangle is repeat-free."""
-    m = len(prefix)
-    for k in range(1, m - 1):
-        seen = set()
-        for i in range(m - k):
-            d = prefix[i + k] - prefix[i]
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
+@dataclass(frozen=True)
+class RowsRule(PrefixRule):
+    """Rows 1..k of the prefix's difference triangle are repeat-free; every row when k is None.
+
+    The walker's state is a pair of bitmasks laid out in rows of 2n bits, row
+    j at bit (j-1)*2n.  `used` holds difference d of row j at bit d + n.
+    `tails` holds, for each row j, bit n - prefix[-j]; shifted left by v it
+    gives the differences v would add, so testing and recording them is
+    one AND and one OR whatever the number of rows.
+    """
+
+    k: int | None = None
+
+    def __call__(self, prefix: Sequence[int]) -> bool:
+        return triangle.distinct_rows(prefix, len(prefix) if self.k is None else self.k)
+
+    def stepper(self, n: int) -> tuple[Any, Callable]:
+        width = 2 * n
+        rows = n if self.k is None else max(0, min(self.k, n))
+        keep = (1 << rows * width) - 1
+
+        def step(prefix: list, state: tuple[int, int], v: int) -> tuple[int, int] | None:
+            used, tails = state
+            new = tails << v
+            if used & new:
+                return None
+            return used | new, (tails << width | 1 << n - v) & keep
+
+        return (0, 0), step
 
 
-def convex_prefix_ok(prefix: Sequence[int]) -> bool:
+@dataclass(frozen=True)
+class ConvexRule(PrefixRule):
     """Consecutive differences of the prefix are non-decreasing."""
-    m = len(prefix)
-    for i in range(m - 2):
-        if prefix[i + 1] - prefix[i] > prefix[i + 2] - prefix[i + 1]:
-            return False
-    return True
+
+    def __call__(self, prefix: Sequence[int]) -> bool:
+        return all(prefix[i + 1] - prefix[i] <= prefix[i + 2] - prefix[i + 1] for i in range(len(prefix) - 2))
+
+    def stepper(self, n: int) -> tuple[Any, Callable]:
+        def step(prefix: list, state: int, v: int) -> int | None:
+            # state: the smallest difference the next value may add
+            if not prefix:
+                return -n
+            d = v - prefix[-1]
+            return d if d >= state else None
+
+        return -n, step
 
 
-def k_costas_prefix_ok(k: int) -> Callable[[Sequence[int]], bool]:
+one_costas_prefix_ok = RowsRule(1)
+costas_prefix_ok = RowsRule()
+convex_prefix_ok = ConvexRule()
+
+
+def k_costas_prefix_ok(k: int) -> RowsRule:
     """Prefix predicate for rows 1..k of the difference triangle being repeat-free."""
-
-    def check(prefix: Sequence[int]) -> bool:
-        m = len(prefix)
-        for order in range(1, min(k, m - 1) + 1):
-            seen = set()
-            for i in range(m - order):
-                d = prefix[i + order] - prefix[i]
-                if d in seen:
-                    return False
-                seen.add(d)
-        return True
-
-    return check
+    return RowsRule(k)
 
 
-def _count_subtree(spec: SearchSpec, first: int) -> int:
-    n = spec.n
-    prefix_ok = spec.prefix_ok
-    accept = spec.accept
-    prefix = [first]
-    if not prefix_ok(prefix):
-        return 0
+def _stepper(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[Any, Callable]:
+    if isinstance(prefix_ok, PrefixRule):
+        return prefix_ok.stepper(n)
 
-    def walk(used: int) -> int:
-        if len(prefix) == n:
-            if accept is None or accept(tuple(prefix)):
-                return 1
-            return 0
-        total = 0
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if used & bit:
+    def step(prefix: list, state: tuple, v: int) -> tuple | None:
+        prefix.append(v)
+        ok = prefix_ok(prefix)
+        prefix.pop()
+        return state if ok else None
+
+    return (), step
+
+
+def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[list], Any],
+          first: int | None = None, reach: int | None = None) -> None:
+    """Visit, depth-first in ascending order, the sequences of distinct values from 1..n
+    whose every nonempty prefix prefix_ok accepts, starting with first when it is given.
+
+    leaf(prefix) is called on each visited sequence of length at least reach
+    (default n: the permutations), with the walker's own list; a true return
+    ends the walk.
+    """
+    root, step = _stepper(prefix_ok, n)
+    reach = n if reach is None else reach
+    prefix: list[int] = []
+
+    def visit(state: Any, free: int, choices: int) -> bool:
+        if len(prefix) >= reach and leaf(prefix):
+            return True
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            v = low.bit_length() - 1
+            child = step(prefix, state, v)
+            if child is None:
                 continue
             prefix.append(v)
-            if prefix_ok(prefix):
-                total += walk(used | bit)
+            rest = free ^ low
+            stop = visit(child, rest, rest)
             prefix.pop()
-        return total
+            if stop:
+                return True
+        return False
 
-    return walk(1 << first)
+    values = (1 << n + 1) - 2
+    visit(root, values, values if first is None else 1 << first)
 
 
-def _collect_subtree(spec: SearchSpec, first: int) -> list[tuple[int, ...]]:
-    n = spec.n
-    prefix_ok = spec.prefix_ok
-    accept = spec.accept
-    prefix = [first]
-    out: list[tuple[int, ...]] = []
-    if not prefix_ok(prefix):
-        return out
+def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
+    """The first, in ascending order, of the longest sequences of distinct values
+    from 1..n whose every prefix prefix_ok accepts; the walk stops at length n."""
+    best: tuple[int, ...] = ()
 
-    def walk(used: int) -> None:
-        if len(prefix) == n:
-            full = tuple(prefix)
-            if accept is None or accept(full):
-                out.append(full)
+    def leaf(prefix: list) -> bool:
+        nonlocal best
+        if len(prefix) > len(best):
+            best = tuple(prefix)
+        return len(best) == n
+
+    _walk(prefix_ok, n, leaf, reach=1)
+    return best
+
+
+def _better(direction: str) -> Callable[[Any, Any], bool]:
+    return (lambda a, b: a > b) if direction == "max" else (lambda a, b: a < b)
+
+
+def _subtree(spec: SearchSpec, first: int):
+    """The mode's result over the accepted permutations that start with first."""
+    accept, mode, better = spec.accept, spec.mode, _better(spec.direction)
+    count = 0
+    found: list = []  # collect: every accepted tuple; optimize: the best (value, tuple)
+
+    def leaf(prefix: list) -> None:
+        nonlocal count
+        full = tuple(prefix)
+        if accept is not None and not accept(full):
             return
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if used & bit:
-                continue
-            prefix.append(v)
-            if prefix_ok(prefix):
-                walk(used | bit)
-            prefix.pop()
+        count += 1
+        if mode == "collect":
+            found.append(full)
+        elif mode == "optimize":
+            value = spec.objective(full)
+            if not found or better(value, found[0][0]):
+                found[:] = [(value, full)]
 
-    walk(1 << first)
-    return out
-
-
-def _optimize_subtree(spec: SearchSpec, first: int) -> tuple[int, tuple[int, ...]] | None:
-    best: list[tuple[int, tuple[int, ...]] | None] = [None]
-    objective = spec.objective
-    better = (lambda a, b: a > b) if spec.direction == "max" else (lambda a, b: a < b)
-
-    n = spec.n
-    prefix_ok = spec.prefix_ok
-    accept = spec.accept
-    prefix = [first]
-    if not prefix_ok(prefix):
-        return None
-
-    def walk(used: int) -> None:
-        if len(prefix) == n:
-            full = tuple(prefix)
-            if accept is None or accept(full):
-                value = objective(full)
-                if best[0] is None or better(value, best[0][0]):
-                    best[0] = (value, full)
-            return
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if used & bit:
-                continue
-            prefix.append(v)
-            if prefix_ok(prefix):
-                walk(used | bit)
-            prefix.pop()
-
-    walk(1 << first)
-    return best[0]
+    _walk(spec.prefix_ok, spec.n, leaf, first=first)
+    if mode == "count":
+        return count
+    return found if mode == "collect" else (found[0] if found else None)
 
 
-def _subtree_results(spec: SearchSpec, worker: Callable, workers: int) -> list:
+def _subtree_results(spec: SearchSpec, workers: int) -> list:
     firsts = range(1, spec.n + 1)
     if workers <= 1:
-        return [worker(spec, f) for f in firsts]
+        return [_subtree(spec, f) for f in firsts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda f: worker(spec, f), firsts))
+        return list(pool.map(lambda f: _subtree(spec, f), firsts))
 
 
 def enumerate(spec: SearchSpec, workers: int = 1):
@@ -225,16 +252,14 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     optimize -> (best value, Permutation witness) or None when nothing is
     accepted.  Results are independent of the worker count.
     """
+    parts = _subtree_results(spec, workers)
     if spec.mode == "count":
-        return sum(_subtree_results(spec, _count_subtree, workers))
+        return sum(parts)
     if spec.mode == "collect":
-        collected: list[Permutation] = []
-        for part in _subtree_results(spec, _collect_subtree, workers):
-            collected.extend(Permutation(t) for t in part)
-        return collected
+        return [Permutation(t) for part in parts for t in part]
     best: tuple[int, tuple[int, ...]] | None = None
-    better = (lambda a, b: a > b) if spec.direction == "max" else (lambda a, b: a < b)
-    for part in _subtree_results(spec, _optimize_subtree, workers):
+    better = _better(spec.direction)
+    for part in parts:
         if part is not None and (best is None or better(part[0], best[0])):
             best = part
     if best is None:

@@ -10,7 +10,8 @@ subpermutations and half-permutations all share this one triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import sub
+from typing import Iterable, Sequence
 
 
 class DuplicateValues(ValueError):
@@ -61,6 +62,16 @@ def distinct_through(t: DifferenceTriangle, k: int) -> bool:
     if not 0 <= k <= t.m - 1:
         raise ValueError(f"row index must be between 0 and {t.m - 1}, got {k}")
     return all(not row_has_repeat(t, i) for i in range(k + 1))
+
+
+def distinct_rows(values: Sequence[int], k: int) -> bool:
+    """True iff rows 1..k of the triangle of values are each repeat-free.
+
+    Rows past the last one are ignored.  No triangle is built: each row is
+    formed, tested and dropped in turn, stopping at the first repeat.
+    """
+    m = len(values)
+    return all(len(set(map(sub, values[j:], values))) == m - j for j in range(1, min(k, m - 1) + 1))
 
 
 def render(t: DifferenceTriangle, mode: str = "plain") -> str:

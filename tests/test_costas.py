@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from permderiv import triangle
 from permderiv import (
     BuilderState,
     Permutation,
@@ -68,6 +69,17 @@ def test_k_costas_monotone_and_matches_naive(n):
                 assert flags[k - 1]
         assert flags[n - 1] == naive_is_costas(p.entries)
         assert flags[1] == naive_is_one_costas(p.entries) if n >= 2 else True
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_k_costas_matches_built_triangle(n):
+    for p in all_perms(n):
+        for k in range(n):
+            assert is_k_costas(p, k) == triangle.distinct_through(triangle.build(p.entries), k), (p, k)
+        assert is_costas(p) == triangle.distinct_through(triangle.build(p.entries), n - 1)
+        for k in (-1, n):
+            with pytest.raises(ValueError):
+                is_k_costas(p, k)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -277,3 +289,44 @@ def test_gamma_small():
 def test_gamma_witness_is_deterministic():
     assert gamma(3) == gamma(3)
     assert gamma(3)[1] == (1, 3, 2)
+
+
+def reference_gamma(n):
+    """The depth-first gamma search as first written, with its own extension test."""
+    best_len = 0
+    best = ()
+
+    def extension_ok(seq):
+        m = len(seq)
+        last = seq[-1]
+        for k in range(1, m):
+            d = last - seq[m - 1 - k]
+            for i in range(m - 1 - k):
+                if seq[i + k] - seq[i] == d:
+                    return False
+        return True
+
+    def search(seq, used):
+        nonlocal best_len, best
+        if len(seq) > best_len:
+            best_len = len(seq)
+            best = tuple(seq)
+            if best_len == n:
+                return True
+        for v in range(1, n + 1):
+            bit = 1 << v
+            if used & bit:
+                continue
+            seq.append(v)
+            if extension_ok(seq) and search(seq, used | bit):
+                return True
+            seq.pop()
+        return False
+
+    search([], 0)
+    return best_len, best
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_gamma_matches_reference_search(n):
+    assert gamma(n) == reference_gamma(n)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -34,6 +35,46 @@ def naive_is_costas(t):
 def naive_is_convex(t):
     d = [t[i + 1] - t[i] for i in range(len(t) - 1)]
     return all(d[i] <= d[i + 1] for i in range(len(d) - 1))
+
+
+def naive_is_k_costas(k):
+    return lambda t: all(
+        len({t[i + j] - t[i] for i in range(len(t) - j)}) == len(t) - j for j in range(1, min(k, len(t) - 1) + 1)
+    )
+
+
+# Every shipped rule with its full-permutation oracle.  k <= 0 checks no row.
+SHIPPED_RULES = {
+    "one-costas": (one_costas_prefix_ok, naive_is_one_costas),
+    "costas": (costas_prefix_ok, naive_is_costas),
+    "convex": (convex_prefix_ok, naive_is_convex),
+    "k-costas-0": (k_costas_prefix_ok(0), lambda t: True),
+    "k-costas-2": (k_costas_prefix_ok(2), naive_is_k_costas(2)),
+    "k-costas-3": (k_costas_prefix_ok(3), naive_is_k_costas(3)),
+    "k-costas--1": (k_costas_prefix_ok(-1), lambda t: True),
+}
+
+
+def weighted(t):
+    return sum(i * v for i, v in enumerate(t, 1)) % 7
+
+
+def naive_walk_calls(n, prefix_ok):
+    """The prefixes a plain depth-first walk over first entries hands prefix_ok, in order."""
+    calls = []
+
+    def walk(prefix):
+        for v in range(1, n + 1):
+            if v in prefix:
+                continue
+            prefix.append(v)
+            calls.append(tuple(prefix))
+            if prefix_ok(prefix):
+                walk(prefix)
+            prefix.pop()
+
+    walk([])
+    return calls
 
 
 def test_spec_validation():
@@ -151,6 +192,10 @@ def test_worker_counts_do_not_change_results(workers):
         direction="max",
     )
     assert search.enumerate(optimize_spec, workers=workers) == search.enumerate(optimize_spec)
+    for rule, _ in SHIPPED_RULES.values():
+        for mode in ("count", "collect", "optimize"):
+            spec = SearchSpec(n=6, prefix_ok=rule, mode=mode, objective=weighted)
+            assert search.enumerate(spec, workers=workers) == search.enumerate(spec)
 
 
 def test_count_one_costas_known_rows():
@@ -207,3 +252,47 @@ def test_fraction_not_increasing_over_reference_range():
     rows = table("one-costas", 9)
     fractions = [r.fraction for r in rows]
     assert all(a >= b for a, b in zip(fractions, fractions[1:]))
+
+
+@pytest.mark.parametrize("name", SHIPPED_RULES)
+def test_shipped_rules_survive_pickle(name):
+    rule, full = SHIPPED_RULES[name]
+    copy = pickle.loads(pickle.dumps(rule))
+    assert copy == rule
+    for t in itertools.permutations(range(1, 6)):
+        assert copy(list(t)) == rule(list(t)) == full(t)
+    spec = SearchSpec(n=6, prefix_ok=rule, mode="collect")
+    spec_copy = pickle.loads(pickle.dumps(spec))
+    assert spec_copy == spec
+    assert search.enumerate(spec_copy) == search.enumerate(spec)
+
+
+@pytest.mark.parametrize("name", SHIPPED_RULES)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shipped_rules_collect_and_optimize_match_filter(n, name):
+    rule, full = SHIPPED_RULES[name]
+    expected = [t for t in itertools.permutations(range(1, n + 1)) if full(t)]
+    collected = search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect"))
+    assert [p.entries for p in collected] == expected
+    for direction, pick in (("max", max), ("min", min)):
+        spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted, direction=direction)
+        if not expected:
+            assert search.enumerate(spec) is None
+            continue
+        best = pick(weighted(t) for t in expected)
+        first_best = next(t for t in expected if weighted(t) == best)
+        value, witness = search.enumerate(spec)
+        assert (value, witness.entries) == (best, first_best)
+
+
+@pytest.mark.parametrize("mode", ("count", "collect", "optimize"))
+def test_plain_callable_sees_the_naive_walks_prefixes(mode):
+    calls = []
+
+    def recorded(prefix):
+        calls.append(tuple(prefix))
+        return naive_is_one_costas(prefix)
+
+    spec = SearchSpec(n=6, prefix_ok=recorded, mode=mode, objective=weighted)
+    search.enumerate(spec)
+    assert calls == naive_walk_calls(6, naive_is_one_costas)
