@@ -67,10 +67,10 @@ def _check_property(text: str):
     if not sep:
         raise ValueError(f"unknown property {text!r}")
     if name == "k-costas":
-        k = int(param)
+        k = _int_param(name, param)
         return text, lambda p: costas.is_k_costas(p, k)
     if name == "lipschitz":
-        bound = int(param)
+        bound = _int_param(name, param)
         return text, lambda p: variation.is_lipschitz(p, bound)
     if name == "dpair":
         values = parse_int_sequence(param)
@@ -81,17 +81,32 @@ def _check_property(text: str):
     raise ValueError(f"unknown property {text!r}")
 
 
-def _search_property(text: str):
-    """Map a --property value to a hereditary prefix predicate and order cap."""
+def _int_param(name: str, param: str) -> int:
+    try:
+        return int(param)
+    except ValueError:
+        raise ValueError(f"{name} property needs an integer, got {param!r}") from None
+
+
+def _search_property(text: str, n: int, action: str, cap_limit: int = 12):
+    """Map a --property value to a hereditary prefix predicate, checking the order n against its cap."""
+    k = None
     if text == "one-costas":
-        return search.one_costas_prefix_ok, 12
-    if text == "costas":
-        return search.costas_prefix_ok, 9
-    name, sep, param = text.partition("=")
-    if sep and name == "k-costas":
-        k = int(param)
-        return search.k_costas_prefix_ok(k), 10 if k == 0 else 12
-    raise ValueError(f"property {text!r} is not searchable (use one-costas, costas, k-costas=K or convex)")
+        prefix_ok, cap = search.one_costas_prefix_ok, 12
+    elif text == "costas":
+        prefix_ok, cap = search.costas_prefix_ok, 9
+    else:
+        name, sep, param = text.partition("=")
+        if not (sep and name == "k-costas"):
+            raise ValueError(f"property {text!r} is not searchable (use one-costas, costas, k-costas=K or convex)")
+        k = _int_param(name, param)
+        prefix_ok, cap = search.k_costas_prefix_ok(k), 10 if k == 0 else 12
+    cap = min(cap, cap_limit)
+    if not 1 <= n <= cap:
+        raise ValueError(f"order for {text} {action} must be 1..{cap}, got {n}")
+    if k is not None and not 0 <= k <= n - 1:
+        raise ValueError(f"k must be between 0 and {n - 1}, got {k}")
+    return prefix_ok
 
 
 def _perm_and_derivative(p: Permutation) -> tuple[list[str], dict]:
@@ -205,10 +220,8 @@ def _cmd_enumerate(args) -> CommandOutput:
             raise ValueError(f"order for convex enumeration must be 1..64, got {args.n}")
         perms = sorted(convexity.enumerate_convex(args.n), key=lambda p: p.entries)
     else:
-        prefix_ok, cap = _search_property(args.property)
-        cap = min(cap, 10)  # collection materializes; keep output desk-sized
-        if not 1 <= args.n <= cap:
-            raise ValueError(f"order for {args.property} enumeration must be 1..{cap}, got {args.n}")
+        # collection materializes; keep output desk-sized
+        prefix_ok = _search_property(args.property, args.n, "enumeration", cap_limit=10)
         spec = search.SearchSpec(n=args.n, prefix_ok=prefix_ok, mode="collect")
         perms = search.enumerate(spec, workers=args.workers)
     return CommandOutput(
@@ -229,9 +242,7 @@ def _count_row_for(property_name: str, n: int, workers: int) -> search.CountRow:
     elif property_name == "costas":
         count = search.count_costas(n, workers=workers)
     else:
-        prefix_ok, cap = _search_property(property_name)
-        if not 1 <= n <= cap:
-            raise ValueError(f"order for {property_name} counting must be 1..{cap}, got {n}")
+        prefix_ok = _search_property(property_name, n, "counting")
         count = search.enumerate(search.SearchSpec(n=n, prefix_ok=prefix_ok), workers=workers)
     total = math.factorial(n)
     return search.CountRow(n, total, count, search._fraction(count, total))

@@ -144,20 +144,21 @@ def jedwab_witness(p: Permutation) -> JedwabWitness | None:
     Returns the first witness in row-major scan order, or None.  Every
     Costas permutation of order >= 4 has one; sharing of points between the
     two segments is allowed (see JedwabWitness.shares_point).
+
+    O(n^2): the first ordered pair in scan order is filed under each
+    displacement, and the partner of (rs, uv) is the pair filed under the
+    mirrored displacement.  That pair is never (rs, uv) itself, since rows
+    are distinct and so the row displacement is never zero.
     """
     points = [(i + 1, v) for i, v in enumerate(p.entries)]
-    for rs in points:
-        for uv in points:
-            if rs == uv:
-                continue
-            dr = rs[0] - uv[0]
-            dc = rs[1] - uv[1]
-            for ab in points:
-                for cd in points:
-                    if (ab, cd) == (rs, uv):
-                        continue
-                    if ab[1] - cd[1] == dc and ab[0] - cd[0] == -dr:
-                        return JedwabWitness((rs, uv), (ab, cd))
+    pairs = [(ab, cd) for ab in points for cd in points if ab != cd]
+    first_with: dict[Point, PointPair] = {}
+    for ab, cd in pairs:
+        first_with.setdefault((ab[0] - cd[0], ab[1] - cd[1]), (ab, cd))
+    for rs, uv in pairs:
+        second = first_with.get((uv[0] - rs[0], rs[1] - uv[1]))
+        if second is not None:
+            return JedwabWitness((rs, uv), second)
     return None
 
 

@@ -6,10 +6,33 @@ is invertible: ``integrate`` recovers the unique permutation from a
 difference sequence, and ``is_realizable`` decides which integer sequences
 arise this way — exactly those whose running sums, together with 0, form a
 set of n consecutive integers.
+
+Validate once, at the boundary.  ``Permutation(...)`` and ``Derivative(...)``
+check every entry, so data entering the library is checked.  Inside this
+module a result that is a permutation (or a derivative) by construction
+from an already-checked object is wrapped unchecked, through the private
+``Permutation._of`` / ``Derivative._of``, instead of being checked again:
+
+- ``reverse``: the same entries in another order;
+- ``complement``: v -> n+1-v maps {1..n} onto itself one-to-one;
+- ``inverse``: position i goes to slot p[i], and the p[i] are exactly 1..n,
+  so every slot of 1..n is filled once;
+- ``rotate90``: ``reverse`` of ``inverse``;
+- ``derivative``: consecutive entries of a permutation are distinct
+  integers of 1..n, so each difference is a nonzero integer of magnitude
+  at most n-1;
+- ``integrate``: only after its own single check, that every input is an
+  ``int`` and the running sums are n distinct integers spanning n-1; the
+  shift puts the least at 1, so they are exactly {1..n}.
+
+Everything else that builds a permutation goes through the checking
+constructor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import add, sub
 from typing import Iterable, Iterator
 
 MAX_ORDER = 10**6
@@ -62,6 +85,13 @@ class Permutation:
                 raise ValueError(f"duplicate entry {v}")
             seen[v] = 1
 
+    @classmethod
+    def _of(cls, entries: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple that is a permutation of {1..n} by construction, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "entries", entries)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -95,6 +125,13 @@ class Derivative:
         for d in self.diffs:
             if not isinstance(d, int) or d == 0 or abs(d) > n - 1:
                 raise ValueError(f"difference {d!r} impossible at order {n}")
+
+    @classmethod
+    def _of(cls, diffs: tuple[int, ...]) -> "Derivative":
+        """Wrap the differences of a checked permutation, unchecked."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "diffs", diffs)
+        return d
 
     @property
     def n(self) -> int:
@@ -170,26 +207,28 @@ def derivative(p: Permutation) -> Derivative:
     '-3,5,-3,-3,5,-3'
     """
     e = p.entries
-    return Derivative(tuple(e[i + 1] - e[i] for i in range(len(e) - 1)))
+    return Derivative._of(tuple(map(sub, islice(e, 1, None), e)))
 
 
 def sum_characteristic(z: Iterable[int]) -> frozenset[int]:
     """{0} together with every running sum of z."""
-    out = {0}
-    total = 0
-    for x in z:
-        total += x
-        out.add(total)
-    return frozenset(out)
+    return frozenset(accumulate(z, initial=0))
+
+
+def _all_ints(z: tuple) -> bool:
+    return all(map(isinstance, z, repeat(int)))
 
 
 def is_realizable(z: Iterable[int]) -> bool:
     """True iff z is the derivative of some permutation.
 
-    Holds exactly when the running-sum set is len(z)+1 consecutive integers
-    (0 is always a member), which is also when ``integrate`` succeeds.
+    Holds exactly when every entry is an integer and the running-sum set is
+    len(z)+1 consecutive integers (0 is always a member), which is also when
+    ``integrate`` succeeds.
     """
     z = tuple(z)
+    if not _all_ints(z):
+        return False
     sums = sum_characteristic(z)
     n = len(z) + 1
     return len(sums) == n and max(sums) - min(sums) == n - 1
@@ -199,28 +238,24 @@ def integrate(z: Iterable[int]) -> Permutation:
     """Recover the unique permutation whose derivative is z.
 
     Running values are anchored so the minimum maps to 1.  Raises
-    NotRealizable when the input is not a permutation derivative.
+    NotRealizable when the input is not a permutation derivative, a
+    non-integer entry included.
 
     >>> integrate((-3, 5, -3, -3, 5, -3)).entries
     (5, 2, 7, 4, 1, 6, 3)
     """
     z = tuple(z)
+    if not _all_ints(z):
+        bad = next(x for x in z if not isinstance(x, int))
+        raise NotRealizable(f"derivative entry {bad!r} is not an integer")
     n = len(z) + 1
-    values = [0] * n
-    total = 0
-    for i, x in enumerate(z):
-        total += x
-        values[i + 1] = total
-    shift = 1 - min(values)
-    entries = tuple(v + shift for v in values)
-    seen = bytearray(n + 1)
-    for v in entries:
-        if not 1 <= v <= n or seen[v]:
-            raise NotRealizable(
-                f"running sums of {format_int_sequence(z)!r} do not cover {n} consecutive integers"
-            )
-        seen[v] = 1
-    return Permutation(entries)
+    values = list(accumulate(z, initial=0))
+    low = min(values)
+    if max(values) - low != n - 1 or len(set(values)) != n:
+        raise NotRealizable(
+            f"running sums of {format_int_sequence(z)!r} do not cover {n} consecutive integers"
+        )
+    return Permutation._of(tuple(map(add, values, repeat(1 - low))))
 
 
 def realize_shift(n: int, s: int) -> Permutation:
@@ -269,13 +304,13 @@ def anti_identity(n: int) -> Permutation:
 
 def reverse(p: Permutation) -> Permutation:
     """Reverse the entry order (matrix rows flipped top-to-bottom)."""
-    return Permutation(tuple(reversed(p.entries)))
+    return Permutation._of(p.entries[::-1])
 
 
 def complement(p: Permutation) -> Permutation:
     """Replace each entry v by n+1-v (matrix columns flipped); negates the derivative."""
     n = p.n
-    return Permutation(tuple(n + 1 - v for v in p.entries))
+    return Permutation._of(tuple(map(sub, repeat(n + 1, n), p.entries)))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -283,7 +318,7 @@ def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.n
     for i, v in enumerate(p.entries):
         inv[v - 1] = i + 1
-    return Permutation(tuple(inv))
+    return Permutation._of(tuple(inv))
 
 
 def rotate90(p: Permutation) -> Permutation:

@@ -38,10 +38,8 @@ def build(values: Iterable[int]) -> DifferenceTriangle:
         raise ValueError("base sequence must be nonempty")
     if len(set(base)) != len(base):
         raise DuplicateValues(f"base sequence repeats a value: {base}")
-    m = len(base)
     rows = [base]
-    for k in range(1, m):
-        rows.append(tuple(base[i + k] - base[i] for i in range(m - k)))
+    rows.extend(tuple(map(sub, base[k:], base)) for k in range(1, len(base)))
     return DifferenceTriangle(tuple(rows))
 
 
@@ -81,7 +79,8 @@ def render(t: DifferenceTriangle, mode: str = "plain") -> str:
     plus one; row k entry i sits at field position k + 2i.
     """
     if mode == "plain":
-        return "\n".join(" ".join(str(x) for x in r) for r in t.rows)
+        # repr is str for ints; map(repr) runs in C, where map(str) measured slower
+        return "\n".join(" ".join(map(repr, r)) for r in t.rows)
     if mode == "staggered":
         width = max(len(str(x)) for r in t.rows for x in r) + 1
         m = t.m

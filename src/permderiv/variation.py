@@ -22,14 +22,14 @@ def local_variation(p: Permutation) -> int:
     """Largest |consecutive difference|; 0 at order 1 by convention."""
     if p.n == 1:
         return 0
-    return max(abs(d) for d in derivative(p).diffs)
+    return max(map(abs, derivative(p).diffs))
 
 
 def global_variation(p: Permutation) -> int:
     """Sum of |consecutive differences| (the l1 norm of the derivative)."""
     if p.n == 1:
         return 0
-    return sum(abs(d) for d in derivative(p).diffs)
+    return sum(map(abs, derivative(p).diffs))
 
 
 def is_lipschitz(p: Permutation, bound: int) -> bool:

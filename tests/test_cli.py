@@ -264,3 +264,47 @@ def test_enumerate_costas(capsys):
     code, out, _ = run(capsys, "enumerate", "--property", "costas", "--n", "5")
     assert code == 0
     assert len(out.strip().split("\n")) == 40
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("k", [-1, 5, 9])
+def test_k_costas_out_of_range_is_invalid_input(capsys, command, k):
+    code, out, err = run(capsys, command, "--property", f"k-costas={k}", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: k must be between 0 and 4, got {k}\n"
+
+
+def test_k_costas_range_ends_are_accepted(capsys):
+    code, out, _ = run(capsys, "count", "--property", "k-costas=0", "--n", "5")
+    assert code == 0
+    assert out.strip() == "n=5 total=120 count=120 fraction=100.0"
+    code, out, _ = run(capsys, "count", "--property", "k-costas=4", "--n", "5")
+    assert code == 0
+    assert "count=40" in out  # every row: the Costas count
+    code, out, _ = run(capsys, "enumerate", "--property", "k-costas=4", "--n", "5")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 40
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--property", "k-costas=x", "1,2,3"],
+        ["count", "--property", "k-costas=x", "--n", "5"],
+        ["enumerate", "--property", "k-costas=1.5", "--n", "5"],
+    ],
+)
+def test_k_costas_non_integer_names_the_property(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: k-costas property needs an integer")
+    assert err.count("\n") == 1
+    assert "int()" not in err
+
+
+def test_lipschitz_non_integer_names_the_property(capsys):
+    code, _, err = run(capsys, "check", "--property", "lipschitz=y", "1,2,3")
+    assert code == 2
+    assert err == "error: lipschitz property needs an integer, got 'y'\n"

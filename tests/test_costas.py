@@ -5,11 +5,13 @@ import pytest
 from permderiv import triangle
 from permderiv import (
     BuilderState,
+    JedwabWitness,
     Permutation,
     SignedPermutation,
     complement,
     extend,
     gamma,
+    identity,
     inverse,
     is_centrosymmetric,
     is_costas,
@@ -330,3 +332,52 @@ def reference_gamma(n):
 @pytest.mark.parametrize("n", range(1, 14))
 def test_gamma_matches_reference_search(n):
     assert gamma(n) == reference_gamma(n)
+
+
+def reference_jedwab_witness(p):
+    """The O(n^4) witness scan as first written: every ordered pair against every other."""
+    points = [(i + 1, v) for i, v in enumerate(p.entries)]
+    for rs in points:
+        for uv in points:
+            if rs == uv:
+                continue
+            dr = rs[0] - uv[0]
+            dc = rs[1] - uv[1]
+            for ab in points:
+                for cd in points:
+                    if (ab, cd) == (rs, uv):
+                        continue
+                    if ab[1] - cd[1] == dc and ab[0] - cd[0] == -dr:
+                        return JedwabWitness((rs, uv), (ab, cd))
+    return None
+
+
+def welch(prime, root, shift):
+    """The exponential Welch Costas array of order prime-1: entry i is root^(i-1+shift) mod prime."""
+    return Permutation(tuple(pow(root, i + shift, prime) for i in range(prime - 1)))
+
+
+def primitive_roots(prime):
+    return [g for g in range(2, prime) if len({pow(g, e, prime) for e in range(1, prime)}) == prime - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_jedwab_witness_matches_reference_scan(n):
+    for p in all_perms(n):
+        assert jedwab_witness(p) == reference_jedwab_witness(p), p
+
+
+def test_jedwab_witness_none_on_identity_50():
+    # every displacement of the identity is (d, d); its mirror (-d, d) never occurs
+    p = identity(50)
+    assert jedwab_witness(p) is None
+    assert reference_jedwab_witness(p) is None
+
+
+@pytest.mark.parametrize("prime,root_index,shift", [(11, 0, 0), (13, 1, 5), (31, 2, 7), (37, -1, 20)])
+def test_jedwab_witness_matches_reference_on_welch_arrays(prime, root_index, shift):
+    p = welch(prime, primitive_roots(prime)[root_index], shift)
+    assert is_costas(p)
+    witness = jedwab_witness(p)
+    assert witness is not None
+    assert witness == reference_jedwab_witness(p)

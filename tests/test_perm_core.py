@@ -91,6 +91,30 @@ def test_is_realizable_examples():
     assert is_realizable(())
 
 
+@pytest.mark.parametrize(
+    "z",
+    [(1.0, 1.0), (1, 2.0, -1), (0.5,), ("1",), ("1", "1"), (1, None)],
+    ids=["floats", "one-float", "half", "string", "strings", "none"],
+)
+def test_non_integer_entries_are_not_realizable(z):
+    assert not is_realizable(z)
+    with pytest.raises(NotRealizable) as info:
+        integrate(z)
+    assert "is not an integer" in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def test_bool_entries_count_as_integers():
+    # bool is an int subclass, as Permutation and Derivative also accept
+    assert is_realizable((True, True))
+    p = integrate((True, True))
+    assert p == Permutation((1, 2, 3))
+    assert all(type(v) is int for v in p.entries)
+    assert not is_realizable((True, False))
+    with pytest.raises(NotRealizable):
+        integrate((True, False))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_round_trip_exhaustive(n):
     for p in all_perms(n):
