@@ -104,8 +104,8 @@ def _search_property(text: str, n: int, action: str, cap_limit: int = 12):
     cap = min(cap, cap_limit)
     if not 1 <= n <= cap:
         raise ValueError(f"order for {text} {action} must be 1..{cap}, got {n}")
-    if k is not None and not 0 <= k <= n - 1:
-        raise ValueError(f"k must be between 0 and {n - 1}, got {k}")
+    if k is not None:
+        costas.check_k(k, n)
     return prefix_ok
 
 

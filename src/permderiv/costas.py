@@ -97,10 +97,15 @@ class JedwabWitness:
         return bool({*self.first} & {*self.second})
 
 
+def check_k(k: int, n: int) -> None:
+    """Raise ValueError unless 0 <= k <= n-1, the k for which k-Costas is defined at order n."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k must be between 0 and {n - 1}, got {k}")
+
+
 def is_k_costas(p: Permutation, k: int) -> bool:
     """True iff difference-triangle rows 0..k are repeat-free; always true at k=0."""
-    if not 0 <= k <= p.n - 1:
-        raise ValueError(f"k must be between 0 and {p.n - 1}, got {k}")
+    check_k(k, p.n)
     return triangle.distinct_rows(p.entries, k)
 
 

@@ -21,9 +21,11 @@ from an already-checked object is wrapped unchecked, through the private
 - ``derivative``: consecutive entries of a permutation are distinct
   integers of 1..n, so each difference is a nonzero integer of magnitude
   at most n-1;
-- ``integrate``: only after its own single check, that every input is an
-  ``int`` and the running sums are n distinct integers spanning n-1; the
-  shift puts the least at 1, so they are exactly {1..n}.
+- ``integrate``: only after its own checks, that the order n (one more than
+  the input's length) is at most MAX_ORDER, as the constructor requires,
+  that every input is an ``int``, and that the running sums are n distinct
+  integers spanning n-1; the shift puts the least at 1, so they are exactly
+  {1..n}.
 
 Everything else that builds a permutation goes through the checking
 constructor.
@@ -224,7 +226,7 @@ def is_realizable(z: Iterable[int]) -> bool:
 
     Holds exactly when every entry is an integer and the running-sum set is
     len(z)+1 consecutive integers (0 is always a member), which is also when
-    ``integrate`` succeeds.
+    ``integrate`` succeeds at orders up to MAX_ORDER.
     """
     z = tuple(z)
     if not _all_ints(z):
@@ -239,16 +241,19 @@ def integrate(z: Iterable[int]) -> Permutation:
 
     Running values are anchored so the minimum maps to 1.  Raises
     NotRealizable when the input is not a permutation derivative, a
-    non-integer entry included.
+    non-integer entry included, and ValueError, as ``Permutation`` does,
+    when the order len(z)+1 exceeds MAX_ORDER.
 
     >>> integrate((-3, 5, -3, -3, 5, -3)).entries
     (5, 2, 7, 4, 1, 6, 3)
     """
     z = tuple(z)
+    n = len(z) + 1
+    if n > MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
     if not _all_ints(z):
         bad = next(x for x in z if not isinstance(x, int))
         raise NotRealizable(f"derivative entry {bad!r} is not an integer")
-    n = len(z) + 1
     values = list(accumulate(z, initial=0))
     low = min(values)
     if max(values) - low != n - 1 or len(set(values)) != n:

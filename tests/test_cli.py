@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permderiv import cli
+from permderiv import MAX_ORDER, cli
 
 
 def run(capsys, *argv):
@@ -44,6 +44,13 @@ def test_integrate_unrealizable_is_invalid_input(capsys):
     code, _, err = run(capsys, "integrate", "1,-1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_integrate_past_the_order_cap_is_invalid_input(capsys):
+    code, out, err = run(capsys, "integrate", ",".join(["1"] * MAX_ORDER))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: order must be between 1 and {MAX_ORDER}, got {MAX_ORDER + 1}\n"
 
 
 def test_triangle_plain_and_staggered(capsys):

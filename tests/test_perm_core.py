@@ -5,6 +5,7 @@ import random
 import pytest
 
 from permderiv import (
+    MAX_ORDER,
     Derivative,
     InconsistentTree,
     InvalidTree,
@@ -71,6 +72,17 @@ def test_integrate_examples():
     assert integrate(()) == Permutation((1,))
     with pytest.raises(NotRealizable):
         integrate((1, -1))
+
+
+def test_integrate_rejects_orders_above_the_cap():
+    # (1,) * MAX_ORDER is realizable, but its order MAX_ORDER + 1 is past the
+    # cap the constructor enforces; the check comes before any other work.
+    with pytest.raises(ValueError, match=f"order must be between 1 and {MAX_ORDER}, got {MAX_ORDER + 1}") as info:
+        integrate((1,) * MAX_ORDER)
+    assert not isinstance(info.value, NotRealizable)
+    p = integrate((1,) * (MAX_ORDER - 1))
+    assert p.n == MAX_ORDER
+    assert p.entries == tuple(range(1, MAX_ORDER + 1))
 
 
 def test_integrate_accepts_derivative_objects():
