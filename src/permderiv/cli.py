@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import time
 from dataclasses import dataclass, field
 
-from . import convexity, costas, dpair, search, triangle, variation, verify
+from . import costas, dpair, search, triangle, variation, verify
 from .perm_core import (
     Permutation,
     derivative,
@@ -51,62 +50,31 @@ def _perm_arg(text: str) -> Permutation:
     return Permutation(parse_int_sequence(text))
 
 
+_CHECK_ONLY = {
+    "mid-alternating": variation.is_mid_alternating,
+    "centrosymmetric": costas.is_centrosymmetric,
+    "costas-centrosymmetric": costas.is_costas_centrosymmetric,
+}
+
+
 def _check_property(text: str):
-    """Map a --property value to (canonical name, predicate on Permutation)."""
-    plain = {
-        "costas": costas.is_costas,
-        "one-costas": lambda p: costas.is_k_costas(p, 1),
-        "convex": convexity.is_convex,
-        "mid-alternating": variation.is_mid_alternating,
-        "centrosymmetric": costas.is_centrosymmetric,
-        "costas-centrosymmetric": costas.is_costas_centrosymmetric,
-    }
-    if text in plain:
-        return text, plain[text]
+    """Map a --property value to a predicate on Permutation: check-only or searchable."""
+    if text in _CHECK_ONLY:
+        return _CHECK_ONLY[text]
+    prop = search.searchable(text)
+    if prop is not None:
+        return prop.holds
     name, sep, param = text.partition("=")
-    if not sep:
-        raise ValueError(f"unknown property {text!r}")
-    if name == "k-costas":
-        k = _int_param(name, param)
-        return text, lambda p: costas.is_k_costas(p, k)
-    if name == "lipschitz":
-        bound = _int_param(name, param)
-        return text, lambda p: variation.is_lipschitz(p, bound)
-    if name == "dpair":
+    if sep and name == "lipschitz":
+        bound = search.int_parameter(name, param)
+        return lambda p: variation.is_lipschitz(p, bound)
+    if sep and name == "dpair":
         values = parse_int_sequence(param)
         if len(values) != 2:
             raise ValueError(f"dpair property needs two values, got {param!r}")
         pair = dpair.DPair(*values)
-        return text, lambda p: dpair.is_dpair_realization(p, pair)
+        return lambda p: dpair.is_dpair_realization(p, pair)
     raise ValueError(f"unknown property {text!r}")
-
-
-def _int_param(name: str, param: str) -> int:
-    try:
-        return int(param)
-    except ValueError:
-        raise ValueError(f"{name} property needs an integer, got {param!r}") from None
-
-
-def _search_property(text: str, n: int, action: str, cap_limit: int = 12):
-    """Map a --property value to a hereditary prefix predicate, checking the order n against its cap."""
-    k = None
-    if text == "one-costas":
-        prefix_ok, cap = search.one_costas_prefix_ok, 12
-    elif text == "costas":
-        prefix_ok, cap = search.costas_prefix_ok, 9
-    else:
-        name, sep, param = text.partition("=")
-        if not (sep and name == "k-costas"):
-            raise ValueError(f"property {text!r} is not searchable (use one-costas, costas, k-costas=K or convex)")
-        k = _int_param(name, param)
-        prefix_ok, cap = search.k_costas_prefix_ok(k), 10 if k == 0 else 12
-    cap = min(cap, cap_limit)
-    if not 1 <= n <= cap:
-        raise ValueError(f"order for {text} {action} must be 1..{cap}, got {n}")
-    if k is not None:
-        costas.check_k(k, n)
-    return prefix_ok
 
 
 def _perm_and_derivative(p: Permutation) -> tuple[list[str], dict]:
@@ -157,14 +125,14 @@ def _cmd_triangle(args) -> CommandOutput:
 
 
 def _cmd_check(args) -> CommandOutput:
-    name, predicate = _check_property(args.property)
+    predicate = _check_property(args.property)
     p = _perm_arg(args.permutation)
     holds = bool(predicate(p))
     return CommandOutput(
         code=0 if holds else 1,
         lines=["true" if holds else "false"],
-        result={"property": name, "holds": holds},
-        inputs={"permutation": str(p), "property": name},
+        result={"property": args.property, "holds": holds},
+        inputs={"permutation": str(p), "property": args.property},
     )
 
 
@@ -214,42 +182,17 @@ def _cmd_construct(args) -> CommandOutput:
 
 
 def _cmd_enumerate(args) -> CommandOutput:
-    inputs = {"property": args.property, "n": args.n}
-    if args.property == "convex":
-        if not 1 <= args.n <= 64:
-            raise ValueError(f"order for convex enumeration must be 1..64, got {args.n}")
-        perms = sorted(convexity.enumerate_convex(args.n), key=lambda p: p.entries)
-    else:
-        # collection materializes; keep output desk-sized
-        prefix_ok = _search_property(args.property, args.n, "enumeration", cap_limit=10)
-        spec = search.SearchSpec(n=args.n, prefix_ok=prefix_ok, mode="collect")
-        perms = search.enumerate(spec, workers=args.workers)
+    perms = search.matches(args.property, args.n, collect=True, workers=args.workers)
     return CommandOutput(
         lines=[str(p) for p in perms],
         result={"count": len(perms), "permutations": [str(p) for p in perms]},
-        inputs=inputs,
+        inputs={"property": args.property, "n": args.n},
         metadata={"workers": args.workers},
     )
 
 
-def _count_row_for(property_name: str, n: int, workers: int) -> search.CountRow:
-    if property_name == "one-costas":
-        return search.count_one_costas(n, workers=workers)
-    if property_name == "convex":
-        if not 1 <= n <= 64:
-            raise ValueError(f"order for convex counting must be 1..64, got {n}")
-        count = len(convexity.enumerate_convex(n))
-    elif property_name == "costas":
-        count = search.count_costas(n, workers=workers)
-    else:
-        prefix_ok = _search_property(property_name, n, "counting")
-        count = search.enumerate(search.SearchSpec(n=n, prefix_ok=prefix_ok), workers=workers)
-    total = math.factorial(n)
-    return search.CountRow(n, total, count, search._fraction(count, total))
-
-
 def _cmd_count(args) -> CommandOutput:
-    row = _count_row_for(args.property, args.n, args.workers)
+    row = search.count_row(args.property, args.n, workers=args.workers)
     return CommandOutput(
         lines=[f"n={row.n} total={row.total} count={row.count} fraction={row.fraction:.1f}"],
         result={"n": row.n, "total": row.total, "count": row.count, "fraction": row.fraction},
@@ -331,12 +274,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_triangle)
 
     p = sub.add_parser("check", parents=[common], help="test a permutation property")
-    p.add_argument(
-        "--property",
-        required=True,
-        help="costas | k-costas=K | one-costas | convex | mid-alternating | "
-        "centrosymmetric | costas-centrosymmetric | lipschitz=L | dpair=P,Q",
-    )
+    check_help = " | ".join((*search.PROPERTY_FORMS, *_CHECK_ONLY, "lipschitz=L", "dpair=P,Q"))
+    p.add_argument("--property", required=True, help=check_help)
     p.add_argument("permutation")
     p.set_defaults(handler=_cmd_check)
 
@@ -353,17 +292,17 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("enumerate", parents=[common], help="list all permutations with a property")
-    p.add_argument("--property", required=True, help="one-costas | costas | k-costas=K | convex")
+    p.add_argument("--property", required=True, help=" | ".join(search.PROPERTY_FORMS))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("count", parents=[common], help="count permutations with a property")
-    p.add_argument("--property", required=True, help="one-costas | costas | k-costas=K | convex")
+    p.add_argument("--property", required=True, help=" | ".join(search.PROPERTY_FORMS))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("table", parents=[common], help="count table for orders 1..max-n")
-    p.add_argument("--kind", choices=("one-costas", "costas", "convex"), required=True)
+    p.add_argument("--kind", choices=search.TABLE_KINDS, required=True)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.set_defaults(handler=_cmd_table)
 

@@ -241,9 +241,7 @@ def gamma(n: int) -> tuple[int, tuple[int, ...]]:
     prefix over value choices in ascending order: the witness is the first
     Costas subpermutation of the greatest length, and the search stops early
     once m = n is reached (m = n happens exactly when a Costas permutation
-    of order n exists).
+    of order n exists).  Raises ValueError unless 1 <= n <= search.MAX_SEARCH_ORDER.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
     best = search.longest_prefix(search.costas_prefix_ok, n)
     return len(best), best

@@ -32,6 +32,7 @@ constructor.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import add, sub
@@ -58,10 +59,13 @@ def parse_int_sequence(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"not a comma-separated integer sequence: {text!r}") from None
+    values = []
+    for i, tok in enumerate(text.split(","), 1):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"not a comma-separated integer sequence: token {i} is {reprlib.repr(tok)}") from None
+    return tuple(values)
 
 
 def format_int_sequence(values: Iterable[int]) -> str:
@@ -257,9 +261,13 @@ def integrate(z: Iterable[int]) -> Permutation:
     values = list(accumulate(z, initial=0))
     low = min(values)
     if max(values) - low != n - 1 or len(set(values)) != n:
-        raise NotRealizable(
-            f"running sums of {format_int_sequence(z)!r} do not cover {n} consecutive integers"
-        )
+        seen: set[int] = set()  # find the first entry j whose running sum repeats or spans too far
+        for j, (v, lo, hi) in enumerate(zip(values, accumulate(values, min), accumulate(values, max))):
+            if v in seen or hi - lo >= n:
+                break
+            seen.add(v)
+        raise NotRealizable(f"not the derivative of a permutation of order {n}: "
+                            f"at entry {j} the running sums repeat or span more than {n} integers")
     return Permutation._of(tuple(map(add, values, repeat(1 - low))))
 
 

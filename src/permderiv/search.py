@@ -14,6 +14,10 @@ whole; in the walker they step incrementally, carrying a bitmask of used
 differences per difference-triangle row, so extending a prefix costs a few
 bit operations rather than a rescan.  They are module-level and picklable.
 Any other callable is called on the full prefix at each extension.
+
+SEARCHABLE is the one registry of searchable properties, each with its rule
+and order cap; `matches` counts or lists any of them, and the CLI's check
+judges them with the same rules, so the two cannot disagree.
 """
 from __future__ import annotations
 
@@ -23,13 +27,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, NamedTuple, Sequence
 
-from . import convexity, triangle
+from . import convexity, costas, triangle
 from .perm_core import Permutation
 
 MAX_SEARCH_ORDER = 64
+LIST_CAP = 10  # a list holds every match, so the walker lists up to here; convex has <= 8
 
 _MODES = ("count", "collect", "optimize")
-_TABLE_KINDS = {"one-costas": 12, "costas": 9, "convex": 64}
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,9 @@ def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[li
 
 def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
     """The first, in ascending order, of the longest sequences of distinct values
-    from 1..n whose every prefix prefix_ok accepts; the walk stops at length n."""
+    from 1..n whose every prefix prefix_ok accepts; the walk stops at length n.
+    Raises ValueError, as SearchSpec does, unless 1 <= n <= MAX_SEARCH_ORDER."""
+    spec = SearchSpec(n=n, prefix_ok=prefix_ok)
     best: tuple[int, ...] = ()
 
     def leaf(prefix: list) -> bool:
@@ -204,7 +210,7 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
             best = tuple(prefix)
         return len(best) == n
 
-    _walk(prefix_ok, n, leaf, reach=1)
+    _walk(spec.prefix_ok, spec.n, leaf, reach=1)
     return best
 
 
@@ -267,39 +273,92 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     return best[0], Permutation(best[1])
 
 
-def count_one_costas(n: int, workers: int = 1) -> CountRow:
-    """Count distinct-derivative permutations of order n (practical bound n <= 12)."""
-    if not 1 <= n <= 12:
-        raise ValueError(f"order must be between 1 and 12, got {n}")
-    spec = SearchSpec(n=n, prefix_ok=one_costas_prefix_ok)
-    count = enumerate(spec, workers=workers)
+class Searchable(NamedTuple):
+    """A searchable property: prefix rule, order cap, and the K of k-costas=K."""
+
+    rule: PrefixRule
+    cap: int
+    k: int | None = None
+
+    def holds(self, p: Permutation) -> bool:
+        """Whether p has the property; ValueError unless 0 <= k <= p.n-1."""
+        if self.k is not None:
+            costas.check_k(self.k, p.n)
+        return self.rule(p.entries)
+
+
+# Each searchable property by name; k-costas=K maps K to its property, capped
+# at 10 for K = 0, where all n! permutations match.
+SEARCHABLE = {
+    "one-costas": Searchable(one_costas_prefix_ok, 12),
+    "costas": Searchable(costas_prefix_ok, 9),
+    "k-costas": lambda k: Searchable(RowsRule(k), 10 if k == 0 else 12, k),
+    "convex": Searchable(convex_prefix_ok, 64),
+}
+TABLE_KINDS = tuple(name for name, entry in SEARCHABLE.items() if isinstance(entry, Searchable))
+PROPERTY_FORMS = tuple(name if name in TABLE_KINDS else f"{name}=K" for name in SEARCHABLE)
+
+
+def int_parameter(name: str, param: str) -> int:
+    """The integer param of the property name=param, or ValueError naming the property."""
+    try:
+        return int(param)
+    except ValueError:
+        raise ValueError(f"{name} property needs an integer, got {param!r}") from None
+
+
+def searchable(text: str) -> Searchable | None:
+    """The searchable property text names, or None; ValueError for a K that is no integer."""
+    name, sep, param = text.partition("=")
+    entry = SEARCHABLE.get(name)
+    if isinstance(entry, Searchable):
+        return None if sep else entry
+    return entry(int_parameter(name, param)) if entry and sep else None
+
+
+def _checked(text: str, n: int, collect: bool = False) -> Searchable:
+    prop = searchable(text)
+    if prop is None:
+        raise ValueError(f"property {text!r} is not searchable (use {', '.join(PROPERTY_FORMS[:-1])} or {PROPERTY_FORMS[-1]})")
+    cap = min(prop.cap, LIST_CAP) if collect and not isinstance(prop.rule, ConvexRule) else prop.cap
+    if not 1 <= n <= cap:
+        raise ValueError(f"order for {text} must be 1..{cap}, got {n}")
+    if prop.k is not None:
+        costas.check_k(prop.k, n)
+    return prop
+
+
+def matches(text: str, n: int, collect: bool = False, workers: int = 1):
+    """The number of order-n permutations with the searchable property text names or, with
+    collect, their list in ascending order.  ValueError first for a bad name, order (1..cap, at
+    most LIST_CAP for a walker list) or K.  Convex uses convexity.enumerate_convex (walked: 24 s at order 24)."""
+    prop = _checked(text, n, collect)
+    if isinstance(prop.rule, ConvexRule):
+        found = sorted(convexity.enumerate_convex(n), key=lambda p: p.entries)
+        return found if collect else len(found)
+    return enumerate(SearchSpec(n=n, prefix_ok=prop.rule, mode="collect" if collect else "count"), workers=workers)
+
+
+def count_row(text: str, n: int, workers: int = 1) -> CountRow:
+    """The CountRow of matches(text, n) among the n! permutations."""
+    count = matches(text, n, workers=workers)
     total = math.factorial(n)
     return CountRow(n, total, count, _fraction(count, total))
 
 
+def count_one_costas(n: int, workers: int = 1) -> CountRow:
+    """Count distinct-derivative permutations of order n, up to the one-costas cap."""
+    return count_row("one-costas", n, workers=workers)
+
+
 def count_costas(n: int, workers: int = 1) -> int:
-    """Count Costas permutations of order n (practical bound n <= 9)."""
-    if not 1 <= n <= 9:
-        raise ValueError(f"order must be between 1 and 9, got {n}")
-    spec = SearchSpec(n=n, prefix_ok=costas_prefix_ok)
-    return enumerate(spec, workers=workers)
+    """Count Costas permutations of order n, up to the costas cap."""
+    return matches("costas", n, workers=workers)
 
 
 def table(kind: str, n_max: int, workers: int = 1) -> tuple[CountRow, ...]:
-    """CountRow rows for n = 1..n_max for one of the shipped predicates."""
-    if kind not in _TABLE_KINDS:
-        raise ValueError(f"kind must be one of {sorted(_TABLE_KINDS)}, got {kind!r}")
-    if not 1 <= n_max <= _TABLE_KINDS[kind]:
-        raise ValueError(f"max order for {kind} tables is {_TABLE_KINDS[kind]}, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        if kind == "one-costas":
-            rows.append(count_one_costas(n, workers=workers))
-            continue
-        if kind == "costas":
-            count = count_costas(n, workers=workers)
-        else:
-            count = len(convexity.enumerate_convex(n))
-        total = math.factorial(n)
-        rows.append(CountRow(n, total, count, _fraction(count, total)))
-    return tuple(rows)
+    """CountRow rows for n = 1..n_max for one of TABLE_KINDS."""
+    if kind not in TABLE_KINDS:
+        raise ValueError(f"kind must be one of {sorted(TABLE_KINDS)}, got {kind!r}")
+    _checked(kind, n_max)
+    return tuple(count_row(kind, n, workers=workers) for n in range(1, n_max + 1))

@@ -66,11 +66,6 @@ _STAGGERED_4312 = "\n".join(
 )
 
 
-def _all_costas(n: int):
-    spec = search.SearchSpec(n=n, prefix_ok=search.costas_prefix_ok, mode="collect")
-    return search.enumerate(spec)
-
-
 def _column_prefix(p: Permutation, k: int) -> convexity.PartialColumnFill:
     column_rows = {p[i]: i + 1 for i in range(p.n)}
     return convexity.PartialColumnFill(p.n, tuple(column_rows[c] for c in range(1, k + 1)))
@@ -158,7 +153,7 @@ WORKED_EXAMPLES: tuple[tuple[str, Callable[[], bool]], ...] = (
     (
         "mirrored-segment witness exists for every Costas permutation of order 4..6",
         lambda: all(
-            costas.jedwab_witness(q) is not None for n in (4, 5, 6) for q in _all_costas(n)
+            costas.jedwab_witness(q) is not None for n in (4, 5, 6) for q in search.matches("costas", n, collect=True)
         ),
     ),
     ("2,3,5,8,1,4,6,7 is centrosymmetric", lambda: costas.is_centrosymmetric(_CENTRO8)),

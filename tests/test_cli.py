@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -84,6 +85,7 @@ def test_triangle_duplicate_values(capsys):
         ("costas", "4,3,1,2", 0),
         ("costas", "3,5,1,6,2,4", 1),
         ("one-costas", "1,2,3", 1),
+        ("one-costas", "1", 0),
         ("one-costas", "1,3,4,2,5", 0),
         ("k-costas=1", "1,3,4,2,5", 0),
         ("convex", "6,4,2,1,3,5", 0),
@@ -282,6 +284,13 @@ def test_k_costas_out_of_range_is_invalid_input(capsys, command, k):
     assert err == f"error: k must be between 0 and 4, got {k}\n"
 
 
+@pytest.mark.parametrize("k", [-1, 5, 9])
+def test_check_k_costas_out_of_range_is_invalid_input(capsys, k):
+    code, out, err = run(capsys, "check", "--property", f"k-costas={k}", "3,1,4,5,2")
+    assert (code, out) == (2, "")
+    assert err == f"error: k must be between 0 and 4, got {k}\n"
+
+
 def test_k_costas_range_ends_are_accepted(capsys):
     code, out, _ = run(capsys, "count", "--property", "k-costas=0", "--n", "5")
     assert code == 0
@@ -315,3 +324,54 @@ def test_lipschitz_non_integer_names_the_property(capsys):
     code, _, err = run(capsys, "check", "--property", "lipschitz=y", "1,2,3")
     assert code == 2
     assert err == "error: lipschitz property needs an integer, got 'y'\n"
+
+
+# (property, count cap, enumerate cap); the first three are also table kinds,
+# with the count cap.
+ORDER_CAPS = [
+    ("one-costas", 12, 10),
+    ("costas", 9, 9),
+    ("convex", 64, 64),
+    ("k-costas=0", 10, 10),
+    ("k-costas=1", 12, 10),
+]
+CAP_CASES = [(command, prop, cap) for prop, count_cap, enumerate_cap in ORDER_CAPS
+             for command, cap in [("count", count_cap), ("enumerate", enumerate_cap), ("table", count_cap)]
+             if command != "table" or "=" not in prop]
+
+
+def _order_argv(command, prop, n):
+    if command == "table":
+        return ["table", "--kind", prop, "--max-n", str(n)]
+    return [command, "--property", prop, "--n", str(n)]
+
+
+@pytest.mark.parametrize("command,prop,cap", CAP_CASES)
+def test_order_caps(capsys, command, prop, cap):
+    for n in (0, cap + 1):
+        code, out, err = run(capsys, *_order_argv(command, prop, n))
+        assert (code, out) == (2, "")
+        assert err == f"error: order for {prop} must be 1..{cap}, got {n}\n"
+    lowest = 2 if prop == "k-costas=1" else 1  # k-costas=K is defined from order K+1
+    code, out, err = run(capsys, *_order_argv(command, prop, lowest))
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_check_agrees_with_enumerate(capsys, n):
+    parser = cli.build_parser()
+    for prop in ["one-costas", "costas", "convex"] + [f"k-costas={k}" for k in range(n)]:
+        code, out, _ = run(capsys, "enumerate", "--property", prop, "--n", str(n))
+        assert code == 0
+        listed = set(out.split())
+        for entries in itertools.permutations(range(1, n + 1)):
+            perm = ",".join(map(str, entries))
+            args = parser.parse_args(["check", "--property", prop, perm])
+            assert args.handler(args).code == (0 if perm in listed else 1), (prop, perm)
+
+
+@pytest.mark.parametrize("n", ["0", "65", "1000000000"])
+def test_gamma_order_cap_is_invalid_input(capsys, n):
+    code, out, err = run(capsys, "gamma", "--n", n)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,6 +23,7 @@ from permderiv import (
     is_grassmannian,
     is_realizable,
     matrix,
+    parse_int_sequence,
     realize_shift,
     reverse,
     rotate90,
@@ -114,6 +115,33 @@ def test_non_integer_entries_are_not_realizable(z):
         integrate(z)
     assert "is not an integer" in str(info.value)
     assert "\n" not in str(info.value)
+
+
+def test_invalid_input_reasons_stay_short_for_long_inputs():
+    # 10^5 entries: the reasons name the order and the first offending
+    # entry or token, never the whole input.
+    z = [1] * 10**5
+    z[70000] = -1
+    with pytest.raises(NotRealizable) as info:
+        integrate(z)
+    reason = str(info.value)
+    assert len(reason) < 200 and "\n" not in reason
+    assert f"order {10**5 + 1}" in reason and "entry 70001" in reason
+    text = ",".join(["1"] * 99999 + ["x"])
+    with pytest.raises(ValueError) as info:
+        parse_int_sequence(text)
+    reason = str(info.value)
+    assert len(reason) < 200 and "\n" not in reason
+    assert "token 100000 is 'x'" in reason
+
+
+@pytest.mark.parametrize(
+    "z,entry",
+    [((1, -1), 2), ((2,), 1), ((1, 1, -1, 5), 3), ((3, -1, -1, 4), 4), ((-1, 3), 2)],
+)
+def test_unrealizable_reason_names_the_first_breaking_entry(z, entry):
+    with pytest.raises(NotRealizable, match=f"at entry {entry} "):
+        integrate(z)
 
 
 def test_bool_entries_count_as_integers():

@@ -239,6 +239,16 @@ def test_table_costas_and_convex():
     assert [r.count for r in convex_rows] == [1, 2, 4, 6, 8, 8]
 
 
+@pytest.mark.parametrize("n", [0, 65, 10**9])
+def test_longest_prefix_rejects_orders_outside_the_walker_cap(n):
+    with pytest.raises(ValueError, match=f"search order must be between 1 and 64, got {n}"):
+        search.longest_prefix(costas_prefix_ok, n)
+
+
+def test_longest_prefix_at_the_walker_cap_is_a_permutation():
+    assert search.longest_prefix(lambda prefix: True, 64) == tuple(range(1, 65))
+
+
 def test_table_bounds():
     with pytest.raises(ValueError):
         table("costas", 10)
