@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import search, triangle
-from .perm_core import Permutation
+from .perm_core import Permutation, format_int_sequence, parse_int_sequence
 
 Point = tuple[int, int]
 PointPair = tuple[Point, Point]
@@ -36,13 +36,9 @@ class SignedPermutation:
 
     @classmethod
     def from_string(cls, text: str) -> "SignedPermutation":
-        from .perm_core import parse_int_sequence
-
         return cls(parse_int_sequence(text))
 
     def __str__(self) -> str:
-        from .perm_core import format_int_sequence
-
         return format_int_sequence(self.entries)
 
 
@@ -97,15 +93,9 @@ class JedwabWitness:
         return bool({*self.first} & {*self.second})
 
 
-def check_k(k: int, n: int) -> None:
-    """Raise ValueError unless 0 <= k <= n-1, the k for which k-Costas is defined at order n."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must be between 0 and {n - 1}, got {k}")
-
-
 def is_k_costas(p: Permutation, k: int) -> bool:
     """True iff difference-triangle rows 0..k are repeat-free; always true at k=0."""
-    check_k(k, p.n)
+    search.check_k(k, p.n)
     return triangle.distinct_rows(p.entries, k)
 
 

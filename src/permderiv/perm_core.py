@@ -32,7 +32,9 @@ constructor.
 """
 from __future__ import annotations
 
+import re
 import reprlib
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import add, sub
@@ -64,6 +66,10 @@ def parse_int_sequence(text: str) -> tuple[int, ...]:
         try:
             values.append(int(tok))
         except ValueError:
+            digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", tok)
+            if digits:  # int() refuses more than sys.get_int_max_str_digits() digits
+                raise ValueError(f"integer out of range: token {i} has {len(digits[1])} digits, "
+                                 f"more than {sys.get_int_max_str_digits()}") from None
             raise ValueError(f"not a comma-separated integer sequence: token {i} is {reprlib.repr(tok)}") from None
     return tuple(values)
 

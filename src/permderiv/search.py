@@ -5,9 +5,16 @@ order, masking used values and cutting subtrees as soon as a prefix fails;
 because the predicate is hereditary (a failing prefix never extends to an
 accepted permutation) the pruned walk visits exactly the permutations the
 naive n!-filter would accept.  Counting, collecting, optimizing and the
-longest-prefix search differ only in what they do at the walk's leaves, and
-results are identical for any worker count: workers partition the tree by
-first entry and their contributions are recombined in first-entry order.
+longest-prefix search differ only in what they do at the walk's leaves.
+Every walk runs in the calling thread; workers never changes a result.
+
+A RowsRule count with no accept filter walks half the tree.  Complement
+(v -> n+1-v) negates every difference, so it keeps each triangle row
+repeat-free or not and maps the accepted permutations starting with f onto
+those starting with n+1-f: the count is twice that of the subtrees f <= n//2,
+plus subtree n//2+1 when n is odd.  Collect and optimize walk the whole tree
+for their order and first-best witness; convex (complement makes it concave)
+and other predicates are not reduced.
 
 The shipped predicates are rule objects.  Called on a prefix they judge it
 whole; in the walker they step incrementally, carrying a bitmask of used
@@ -22,12 +29,12 @@ judges them with the same rules, so the two cannot disagree.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, NamedTuple, Sequence
 
-from . import convexity, costas, triangle
+from . import convexity, triangle
 from .perm_core import Permutation
 
 MAX_SEARCH_ORDER = 64
@@ -44,8 +51,6 @@ class SearchSpec:
     must be pure and monotone under truncation; accept, if given, filters
     complete permutations (as tuples).  For mode="optimize", objective maps a
     complete tuple to a comparable value and direction is "max" or "min".
-    The shipped rules (one_costas_prefix_ok and its relatives) step
-    incrementally and keep the spec picklable.
     """
 
     n: int
@@ -88,6 +93,12 @@ class PrefixRule:
         """The empty prefix's state, for values 1..n, and step(prefix, state, v):
         the state of prefix + [v], or None when that prefix fails."""
         raise NotImplementedError
+
+
+def check_k(k: int, n: int) -> None:
+    """Raise ValueError unless 0 <= k <= n-1, the k for which k-Costas is defined at order n."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k must be between 0 and {n - 1}, got {k}")
 
 
 @dataclass(frozen=True)
@@ -214,13 +225,10 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     return best
 
 
-def _better(direction: str) -> Callable[[Any, Any], bool]:
-    return (lambda a, b: a > b) if direction == "max" else (lambda a, b: a < b)
-
-
-def _subtree(spec: SearchSpec, first: int):
-    """The mode's result over the accepted permutations that start with first."""
-    accept, mode, better = spec.accept, spec.mode, _better(spec.direction)
+def _subtree(spec: SearchSpec, first: int | None = None):
+    """The mode's result over the accepted permutations that start with first, or over all."""
+    accept, mode = spec.accept, spec.mode
+    better = operator.gt if spec.direction == "max" else operator.lt
     count = 0
     found: list = []  # collect: every accepted tuple; optimize: the best (value, tuple)
 
@@ -243,34 +251,24 @@ def _subtree(spec: SearchSpec, first: int):
     return found if mode == "collect" else (found[0] if found else None)
 
 
-def _subtree_results(spec: SearchSpec, workers: int) -> list:
-    firsts = range(1, spec.n + 1)
-    if workers <= 1:
-        return [_subtree(spec, f) for f in firsts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda f: _subtree(spec, f), firsts))
-
-
 def enumerate(spec: SearchSpec, workers: int = 1):
     """Run the pruned search; result shape depends on spec.mode.
 
     count -> int; collect -> list of Permutation in ascending entry order;
     optimize -> (best value, Permutation witness) or None when nothing is
-    accepted.  Results are independent of the worker count.
+    accepted.  The walk runs in this thread; workers never changes a result.
     """
-    parts = _subtree_results(spec, workers)
-    if spec.mode == "count":
-        return sum(parts)
+    n = spec.n
+    if spec.mode == "count" and spec.accept is None and isinstance(spec.prefix_ok, RowsRule):
+        # complement symmetry, see the module docstring
+        half = sum(_subtree(spec, f) for f in range(1, n // 2 + 1))
+        return 2 * half + (_subtree(spec, n // 2 + 1) if n % 2 else 0)
+    result = _subtree(spec)
     if spec.mode == "collect":
-        return [Permutation(t) for part in parts for t in part]
-    best: tuple[int, tuple[int, ...]] | None = None
-    better = _better(spec.direction)
-    for part in parts:
-        if part is not None and (best is None or better(part[0], best[0])):
-            best = part
-    if best is None:
-        return None
-    return best[0], Permutation(best[1])
+        return [Permutation(t) for t in result]
+    if spec.mode == "optimize" and result is not None:
+        return result[0], Permutation(result[1])
+    return result
 
 
 class Searchable(NamedTuple):
@@ -283,7 +281,7 @@ class Searchable(NamedTuple):
     def holds(self, p: Permutation) -> bool:
         """Whether p has the property; ValueError unless 0 <= k <= p.n-1."""
         if self.k is not None:
-            costas.check_k(self.k, p.n)
+            check_k(self.k, p.n)
         return self.rule(p.entries)
 
 
@@ -324,7 +322,7 @@ def _checked(text: str, n: int, collect: bool = False) -> Searchable:
     if not 1 <= n <= cap:
         raise ValueError(f"order for {text} must be 1..{cap}, got {n}")
     if prop.k is not None:
-        costas.check_k(prop.k, n)
+        check_k(prop.k, n)
     return prop
 
 

@@ -9,6 +9,7 @@ subpermutations and half-permutations all share this one triangle.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Sequence
@@ -37,7 +38,10 @@ def build(values: Iterable[int]) -> DifferenceTriangle:
     if not base:
         raise ValueError("base sequence must be nonempty")
     if len(set(base)) != len(base):
-        raise DuplicateValues(f"base sequence repeats a value: {base}")
+        first_at: dict[int, int] = {}
+        for i, v in enumerate(base, 1):
+            if first_at.setdefault(v, i) != i:
+                raise DuplicateValues(f"base sequence repeats {reprlib.repr(v)} at positions {first_at[v]} and {i}")
     rows = [base]
     rows.extend(tuple(map(sub, base[k:], base)) for k in range(1, len(base)))
     return DifferenceTriangle(tuple(rows))

@@ -135,6 +135,15 @@ def test_invalid_input_reasons_stay_short_for_long_inputs():
     assert "token 100000 is 'x'" in reason
 
 
+@pytest.mark.parametrize("text,token", [("1" * 5000, 1), ("1,2,-" + "3" * 5000, 3), ("4, +" + "5" * 4301 + " ,6", 2)])
+def test_too_long_integer_token_is_out_of_range_not_malformed(text, token):
+    with pytest.raises(ValueError) as info:
+        parse_int_sequence(text)
+    reason = str(info.value)
+    assert len(reason) < 200 and "\n" not in reason
+    assert reason.startswith(f"integer out of range: token {token} has ")
+
+
 @pytest.mark.parametrize(
     "z,entry",
     [((1, -1), 2), ((2,), 1), ((1, 1, -1, 5), 3), ((3, -1, -1, 4), 4), ((-1, 3), 2)],

@@ -198,6 +198,44 @@ def test_worker_counts_do_not_change_results(workers):
             assert search.enumerate(spec, workers=workers) == search.enumerate(spec)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reduced_counts_equal_the_unreduced_walk(n):
+    # a plain callable is never reduced, so the wrapped rule walks the whole tree
+    for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(n))):
+        whole = search.enumerate(SearchSpec(n=n, prefix_ok=lambda prefix, rule=rule: rule(prefix)))
+        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == whole
+
+
+@pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
+def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
+    walked = []
+    subtree = search._subtree
+    monkeypatch.setattr(search, "_subtree", lambda spec, f=None: walked.append(f) or subtree(spec, f))
+    search.enumerate(SearchSpec(n=n, prefix_ok=costas_prefix_ok))
+    assert walked == firsts
+    unreduced = (
+        SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="collect"),
+        SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="optimize", objective=weighted),
+        SearchSpec(n=n, prefix_ok=costas_prefix_ok, accept=lambda t: True),
+        SearchSpec(n=n, prefix_ok=convex_prefix_ok),
+        SearchSpec(n=n, prefix_ok=lambda prefix: True),
+    )
+    for spec in unreduced:
+        walked.clear()
+        search.enumerate(spec)
+        assert walked == [None]
+
+
+def test_search_does_not_import_costas():
+    # costas imports search for gamma and check_k; the reverse would be a cycle
+    assert not hasattr(search, "costas")
+
+
+def test_costas_count_at_order_10_is_published_value():
+    # OEIS A008404, past the costas count cap of 9
+    assert search.enumerate(SearchSpec(n=10, prefix_ok=costas_prefix_ok)) == 2160
+
+
 def test_count_one_costas_known_rows():
     assert count_one_costas(1) == CountRow(1, 1, 1, 100.0)
     assert count_one_costas(5) == CountRow(5, 120, 44, 36.7)

@@ -29,6 +29,16 @@ def test_build_rejects_duplicates():
         build(())
 
 
+def test_duplicate_reason_names_the_first_repeat_and_stays_short():
+    with pytest.raises(DuplicateValues) as info:
+        build(tuple(range(10**5)) + (0,))
+    reason = str(info.value)
+    assert len(reason) < 200 and "\n" not in reason
+    assert "repeats 0 at positions 1 and 100001" in reason
+    with pytest.raises(DuplicateValues, match="repeats 2 at positions 2 and 4$"):
+        build((1, 2, 3, 2, 1))
+
+
 def test_row_accessors():
     t = build((3, 5, 1, 6, 2, 4))
     assert row(t, 0) == (3, 5, 1, 6, 2, 4)
