@@ -136,15 +136,30 @@ def _cmd_check(args) -> CommandOutput:
     )
 
 
+# Each construction and the options it needs, in the order they are echoed.
+_CONSTRUCTIONS = {
+    "dpair": ("a", "b"),
+    "min-local": ("n",),
+    "max-global": ("n",),
+    "maximin": ("n",),
+    "pi": ("k",),
+    "pi-star": ("k",),
+    "realize-shift": ("n", "s"),
+}
+
+
 def _cmd_construct(args) -> CommandOutput:
     kind = args.construction
+    inputs = {name: getattr(args, name) for name in _CONSTRUCTIONS[kind]}
+    missing = [f"--{name}" for name, value in inputs.items() if value is None]
+    if missing:
+        raise ValueError(f"construct {kind} needs {' and '.join(missing)}")
     metadata: dict = {}
     if kind == "dpair":
         p = dpair.construct_dpair(args.a, args.b)
         lines, result = _perm_and_derivative(p)
         result["realized_pair"] = str(dpair.DPair(args.a, -args.b))
         result["inverse_pair"] = str(dpair.inverse_dpair(args.a, args.b))
-        inputs = {"a": args.a, "b": args.b}
     elif kind == "min-local":
         p = variation.construct_min_local_1costas(args.n)
         lines, result = _perm_and_derivative(p)
@@ -152,63 +167,54 @@ def _cmd_construct(args) -> CommandOutput:
         result["global_variation"] = variation.global_variation(p)
         if args.n % 2:
             metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["min_global_1costas_odd"]
-        inputs = {"n": args.n}
     elif kind == "max-global":
         p = variation.construct_max_global(args.n)
         lines, result = _perm_and_derivative(p)
         result["global_variation"] = variation.global_variation(p)
         if args.n % 2:
             metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["delta_star_odd"]
-        inputs = {"n": args.n}
     elif kind == "maximin":
         p = variation.construct_maximin_abs(args.n)
         lines, result = _perm_and_derivative(p)
         result["maximin_abs"] = variation.maximin_abs_value(args.n)
-        inputs = {"n": args.n}
     elif kind == "pi":
         p = variation.pi_perm(args.k)
         lines, result = _perm_and_derivative(p)
-        inputs = {"k": args.k}
     elif kind == "pi-star":
         p = variation.pi_star(args.k)
         lines, result = _perm_and_derivative(p)
-        inputs = {"k": args.k}
     else:  # realize-shift
         p = realize_shift(args.n, args.s)
         lines, result = _perm_and_derivative(p)
         result["sum_characteristic"] = sorted(sum_characteristic(derivative(p).diffs))
-        inputs = {"n": args.n, "s": args.s}
     return CommandOutput(lines=lines, result=result, inputs=inputs, metadata=metadata)
 
 
 def _cmd_enumerate(args) -> CommandOutput:
-    perms = search.matches(args.property, args.n, collect=True, workers=args.workers)
+    perms = search.matches(args.property, args.n, collect=True)
     return CommandOutput(
         lines=[str(p) for p in perms],
         result={"count": len(perms), "permutations": [str(p) for p in perms]},
         inputs={"property": args.property, "n": args.n},
-        metadata={"workers": args.workers},
     )
 
 
 def _cmd_count(args) -> CommandOutput:
-    row = search.count_row(args.property, args.n, workers=args.workers)
+    row = search.count_row(args.property, args.n)
     return CommandOutput(
         lines=[f"n={row.n} total={row.total} count={row.count} fraction={row.fraction:.1f}"],
         result={"n": row.n, "total": row.total, "count": row.count, "fraction": row.fraction},
         inputs={"property": args.property, "n": args.n},
-        metadata={"workers": args.workers},
         csv_rows=_table_csv([row]),
     )
 
 
 def _cmd_table(args) -> CommandOutput:
-    rows = search.table(args.kind, args.max_n, workers=args.workers)
+    rows = search.table(args.kind, args.max_n)
     return CommandOutput(
         lines=_table_lines(rows),
         result={"rows": [row._asdict() for row in rows]},
         inputs={"kind": args.kind, "max_n": args.max_n},
-        metadata={"workers": args.workers},
         csv_rows=_table_csv(rows),
     )
 
@@ -225,7 +231,7 @@ def _cmd_gamma(args) -> CommandOutput:
 
 def _cmd_verify(args) -> CommandOutput:
     if args.target == "figure1":
-        rows, ok = verify.check_reference_counts(args.max_n, workers=args.workers)
+        rows, ok = verify.check_reference_counts(args.max_n)
         lines = _table_lines(rows)
         lines.append("figure1: ok" if ok else "figure1: MISMATCH against reference counts")
         return CommandOutput(
@@ -233,7 +239,6 @@ def _cmd_verify(args) -> CommandOutput:
             lines=lines,
             result={"rows": [row._asdict() for row in rows], "ok": ok},
             inputs={"target": "figure1", "max_n": args.max_n},
-            metadata={"workers": args.workers},
             csv_rows=_table_csv(rows),
         )
     outcomes = verify.run_examples()
@@ -256,7 +261,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="permderiv", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--workers", type=int, default=1)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,10 +284,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("construct", parents=[common], help="build a named extremal permutation")
-    p.add_argument(
-        "construction",
-        choices=("dpair", "min-local", "max-global", "maximin", "pi", "pi-star", "realize-shift"),
-    )
+    p.add_argument("construction", choices=_CONSTRUCTIONS)
     p.add_argument("--a", type=int, help="small step for dpair")
     p.add_argument("--b", type=int, help="large step for dpair")
     p.add_argument("--n", type=int, help="order")
@@ -318,21 +319,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _validate_construct_args(args) -> None:
-    required = {
-        "dpair": ("a", "b"),
-        "min-local": ("n",),
-        "max-global": ("n",),
-        "maximin": ("n",),
-        "pi": ("k",),
-        "pi-star": ("k",),
-        "realize-shift": ("n", "s"),
-    }[args.construction]
-    missing = [f"--{name}" for name in required if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"construct {args.construction} needs {' and '.join(missing)}")
-
-
 def _render(args, out: CommandOutput, runtime: float) -> str:
     if args.format == "text":
         return "\n".join(out.lines)
@@ -360,17 +346,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "construct":
-            _validate_construct_args(args)
-        if args.workers < 1:
-            raise ValueError(f"--workers must be positive, got {args.workers}")
         started = time.perf_counter()
         out: CommandOutput = args.handler(args)
         rendered = _render(args, out, time.perf_counter() - started)
-    except _CliArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_CliArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if rendered:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .perm_core import MAX_ORDER, Permutation, derivative, inverse
+from .perm_core import MAX_ORDER, Permutation, derivative
 
 
 class NotCoprime(ValueError):
@@ -63,6 +63,16 @@ def is_feasible_dpair(pair: DPair) -> bool:
     return p * q < 0 and gcd(abs(p), abs(q)) == 1 and abs(p) != abs(q)
 
 
+def _check_steps(a: int, b: int) -> None:
+    """Raise unless 1 <= a < b, a and b are coprime and a+b <= MAX_ORDER."""
+    if a < 1 or b < 1 or a >= b:
+        raise NotStrictlyOrdered(f"need 1 <= a < b, got a={a}, b={b}")
+    if gcd(a, b) != 1:
+        raise NotCoprime(f"a={a} and b={b} share factor {gcd(a, b)}")
+    if a + b > MAX_ORDER:
+        raise ValueError(f"order {a + b} exceeds {MAX_ORDER}")
+
+
 def construct_dpair(a: int, b: int) -> Permutation:
     """A permutation realizing the pair (a, -b), for coprime 1 <= a < b.
 
@@ -73,12 +83,7 @@ def construct_dpair(a: int, b: int) -> Permutation:
     >>> construct_dpair(1, 3).entries
     (2, 3, 4, 1)
     """
-    if a < 1 or b < 1 or a >= b:
-        raise NotStrictlyOrdered(f"need 1 <= a < b, got a={a}, b={b}")
-    if gcd(a, b) != 1:
-        raise NotCoprime(f"a={a} and b={b} share factor {gcd(a, b)}")
-    if a + b > MAX_ORDER:
-        raise ValueError(f"order {a + b} exceeds {MAX_ORDER}")
+    _check_steps(a, b)
     if a == 1:
         return Permutation(tuple(range(2, b + 2)) + (1,))
     n = a + b
@@ -91,11 +96,7 @@ def inverse_dpair(a: int, b: int) -> DPair:
     With a' the inverse of a modulo a+b, the inverse permutation steps a'
     columns per row, so it realizes (a', -(a+b-a')).
     """
-    construct_dpair(a, b)  # validate the same preconditions
+    _check_steps(a, b)
     a_inv = pow(a, -1, a + b)
     return DPair(a_inv, -(a + b - a_inv))
 
-
-def realized_by_inverse(a: int, b: int) -> Permutation:
-    """The inverse of the constructed realization; realizes inverse_dpair(a, b)."""
-    return inverse(construct_dpair(a, b))

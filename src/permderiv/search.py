@@ -6,7 +6,7 @@ because the predicate is hereditary (a failing prefix never extends to an
 accepted permutation) the pruned walk visits exactly the permutations the
 naive n!-filter would accept.  Counting, collecting, optimizing and the
 longest-prefix search differ only in what they do at the walk's leaves.
-Every walk runs in the calling thread; workers never changes a result.
+Every walk runs in the calling thread.
 
 A RowsRule count with no accept filter walks half the tree.  Complement
 (v -> n+1-v) negates every difference, so it keeps each triangle row
@@ -251,12 +251,14 @@ def _subtree(spec: SearchSpec, first: int | None = None):
     return found if mode == "collect" else (found[0] if found else None)
 
 
+# workers is accepted and ignored, here and in count_costas, only because the
+# benchmark's workers=nproc ops (bench/workloads.py) pass it; it goes with them.
 def enumerate(spec: SearchSpec, workers: int = 1):
     """Run the pruned search; result shape depends on spec.mode.
 
     count -> int; collect -> list of Permutation in ascending entry order;
     optimize -> (best value, Permutation witness) or None when nothing is
-    accepted.  The walk runs in this thread; workers never changes a result.
+    accepted.
     """
     n = spec.n
     if spec.mode == "count" and spec.accept is None and isinstance(spec.prefix_ok, RowsRule):
@@ -326,7 +328,7 @@ def _checked(text: str, n: int, collect: bool = False) -> Searchable:
     return prop
 
 
-def matches(text: str, n: int, collect: bool = False, workers: int = 1):
+def matches(text: str, n: int, collect: bool = False):
     """The number of order-n permutations with the searchable property text names or, with
     collect, their list in ascending order.  ValueError first for a bad name, order (1..cap, at
     most LIST_CAP for a walker list) or K.  Convex uses convexity.enumerate_convex (walked: 24 s at order 24)."""
@@ -334,29 +336,29 @@ def matches(text: str, n: int, collect: bool = False, workers: int = 1):
     if isinstance(prop.rule, ConvexRule):
         found = sorted(convexity.enumerate_convex(n), key=lambda p: p.entries)
         return found if collect else len(found)
-    return enumerate(SearchSpec(n=n, prefix_ok=prop.rule, mode="collect" if collect else "count"), workers=workers)
+    return enumerate(SearchSpec(n=n, prefix_ok=prop.rule, mode="collect" if collect else "count"))
 
 
-def count_row(text: str, n: int, workers: int = 1) -> CountRow:
+def count_row(text: str, n: int) -> CountRow:
     """The CountRow of matches(text, n) among the n! permutations."""
-    count = matches(text, n, workers=workers)
+    count = matches(text, n)
     total = math.factorial(n)
     return CountRow(n, total, count, _fraction(count, total))
 
 
-def count_one_costas(n: int, workers: int = 1) -> CountRow:
+def count_one_costas(n: int) -> CountRow:
     """Count distinct-derivative permutations of order n, up to the one-costas cap."""
-    return count_row("one-costas", n, workers=workers)
+    return count_row("one-costas", n)
 
 
 def count_costas(n: int, workers: int = 1) -> int:
     """Count Costas permutations of order n, up to the costas cap."""
-    return matches("costas", n, workers=workers)
+    return matches("costas", n)
 
 
-def table(kind: str, n_max: int, workers: int = 1) -> tuple[CountRow, ...]:
+def table(kind: str, n_max: int) -> tuple[CountRow, ...]:
     """CountRow rows for n = 1..n_max for one of TABLE_KINDS."""
     if kind not in TABLE_KINDS:
         raise ValueError(f"kind must be one of {sorted(TABLE_KINDS)}, got {kind!r}")
     _checked(kind, n_max)
-    return tuple(count_row(kind, n, workers=workers) for n in range(1, n_max + 1))
+    return tuple(count_row(kind, n) for n in range(1, n_max + 1))

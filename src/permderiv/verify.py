@@ -34,11 +34,11 @@ REFERENCE_ONE_COSTAS = (
 )
 
 
-def check_reference_counts(n_max: int = 10, workers: int = 1):
+def check_reference_counts(n_max: int = 10):
     """Recompute the count table and compare against the reference rows."""
     if not 1 <= n_max <= len(REFERENCE_ONE_COSTAS):
         raise ValueError(f"reference data covers orders 1..{len(REFERENCE_ONE_COSTAS)}, got {n_max}")
-    rows = search.table("one-costas", n_max, workers=workers)
+    rows = search.table("one-costas", n_max)
     ok = all(tuple(row) == expected for row, expected in zip(rows, REFERENCE_ONE_COSTAS))
     return rows, ok
 

@@ -191,10 +191,35 @@ def test_count_text_and_csv(capsys):
     assert out == "n,total,count,fraction\n7,5040,788,15.6\n"
 
 
-def test_count_with_workers(capsys):
-    code, out, _ = run(capsys, "count", "--property", "costas", "--n", "6", "--workers", "3")
+def test_count_runs_without_a_workers_option(capsys):
+    code, out, _ = run(capsys, "count", "--property", "costas", "--n", "6")
     assert code == 0
     assert "count=116" in out
+    for argv in (
+        ("count", "--property", "costas", "--n", "6"),
+        ("table", "--kind", "costas", "--max-n", "4"),
+        ("enumerate", "--property", "costas", "--n", "4"),
+        ("verify", "figure1", "--max-n", "4"),
+        ("derive", "5,2,7,4,1,6,3"),
+    ):
+        code, out, err = run(capsys, *argv, "--workers", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("count", "--property", "costas", "--n", "6"),
+        ("enumerate", "--property", "costas", "--n", "4"),
+        ("table", "--kind", "one-costas", "--max-n", "4"),
+        ("verify", "figure1", "--max-n", "4"),
+    ),
+)
+def test_search_metadata_holds_only_the_runtime(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["metadata"]) == {"runtime_s"}
 
 
 def test_table_csv_header(capsys):

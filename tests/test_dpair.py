@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from permderiv import (
+    MAX_ORDER,
     DPair,
     NotCoprime,
     NotStrictlyOrdered,
@@ -83,6 +84,16 @@ def test_inverse_dpair_examples():
     assert inverse_dpair(1, 7) == DPair(1, -7)
     with pytest.raises(NotCoprime):
         inverse_dpair(6, 9)
+
+
+@pytest.mark.parametrize("a,b", ((2, 4), (3, 3), (5, 3), (0, 3), (-2, 3), (1, MAX_ORDER), (2, MAX_ORDER - 1)))
+def test_inverse_dpair_rejects_what_construct_dpair_rejects(a, b):
+    with pytest.raises(ValueError) as constructed:
+        construct_dpair(a, b)
+    with pytest.raises(ValueError) as inverted:
+        inverse_dpair(a, b)
+    assert type(inverted.value) is type(constructed.value)
+    assert str(inverted.value) == str(constructed.value)
 
 
 def coprime_pairs(limit):
