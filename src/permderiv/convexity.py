@@ -6,6 +6,13 @@ only extend that interval at one of its two ends, subject to keeping the
 row-wise column assignment convex.  Exhausting those choices enumerates all
 convex permutations, which form four families (identity, two near-cyclic
 shifts, and the rotated zigzag) plus their reversals.
+
+enumerate_convex tests each extension in O(1).  Only the interval's first and
+last column differences can be broken by a new column c: a row added at the
+front gives the new first difference col[low] - c, allowed when at most the
+old first; one added at the back gives c - col[high], allowed when at least
+the old last.  extension_rows re-checks the whole fill instead, for the
+step-by-step Algorithm 1 and the verify checks.
 """
 from __future__ import annotations
 
@@ -132,16 +139,25 @@ def enumerate_convex(n: int) -> frozenset[Permutation]:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     results = []
+    # col[r]: the column of row r's 1.  Rows outside the interval hold stale
+    # columns that are never read, so backtracking undoes nothing.
+    col = [0] * (n + 1)
 
-    def grow(state: PartialColumnFill) -> None:
-        if state.k == n:
-            results.append(_fill_to_permutation(state))
+    def grow(low: int, high: int, first: int, last: int) -> None:
+        c = high - low + 2  # the next column
+        if c > n:
+            results.append(Permutation(tuple(col[1:])))
             return
-        for candidate in sorted(extension_rows(state)):
-            grow(PartialColumnFill(n, state.rows_by_column + (candidate,)))
+        if low > 1 and col[low] - c <= first:
+            col[low - 1] = c
+            grow(low - 1, high, col[low] - c, last)
+        if high < n and c - col[high] >= last:
+            col[high + 1] = c
+            grow(low, high + 1, first, c - col[high])
 
     for start in range(1, n + 1):
-        grow(PartialColumnFill(n, (start,)))
+        col[start] = 1
+        grow(start, start, n, -n)  # one row has no difference: n and -n admit both ends
     return frozenset(results)
 
 

@@ -16,11 +16,12 @@ plus subtree n//2+1 when n is odd.  Collect and optimize walk the whole tree
 for their order and first-best witness; convex (complement makes it concave)
 and other predicates are not reduced.
 
-The shipped predicates are rule objects.  Called on a prefix they judge it
-whole; in the walker they step incrementally, carrying a bitmask of used
-differences per difference-triangle row, so extending a prefix costs a few
-bit operations rather than a rescan.  They are module-level and picklable.
-Any other callable is called on the full prefix at each extension.
+The shipped predicates are rule objects, module-level and picklable, and
+called on a prefix they judge it whole.  Rules do not step: for a RowsRule
+the walker tests the rows inline, carrying a bitmask of used differences per
+difference-triangle row, so extending a prefix costs a few bit operations
+rather than a rescan.  Any other predicate, ConvexRule included, is called
+on the full prefix at each extension.
 
 SEARCHABLE is the one registry of searchable properties, each with its rule
 and order cap; `matches` counts or lists any of them, and the CLI's check
@@ -38,7 +39,7 @@ from . import convexity, triangle
 from .perm_core import Permutation
 
 MAX_SEARCH_ORDER = 64
-LIST_CAP = 10  # a list holds every match, so the walker lists up to here; convex has <= 8
+LIST_CAP = 10  # a list holds every match, so a walker list stops here by default
 
 _MODES = ("count", "collect", "optimize")
 
@@ -86,15 +87,6 @@ def _fraction(count: int, total: int) -> float:
     return float(q)
 
 
-class PrefixRule:
-    """A hereditary prefix predicate that can also extend a prefix incrementally."""
-
-    def stepper(self, n: int) -> tuple[Any, Callable[[list, Any, int], Any]]:
-        """The empty prefix's state, for values 1..n, and step(prefix, state, v):
-        the state of prefix + [v], or None when that prefix fails."""
-        raise NotImplementedError
-
-
 def check_k(k: int, n: int) -> None:
     """Raise ValueError unless 0 <= k <= n-1, the k for which k-Costas is defined at order n."""
     if not 0 <= k <= n - 1:
@@ -102,14 +94,16 @@ def check_k(k: int, n: int) -> None:
 
 
 @dataclass(frozen=True)
-class RowsRule(PrefixRule):
+class RowsRule:
     """Rows 1..k of the prefix's difference triangle are repeat-free; every row when k is None.
 
-    The walker's state is a pair of bitmasks laid out in rows of 2n bits, row
-    j at bit (j-1)*2n.  `used` holds difference d of row j at bit d + n.
-    `tails` holds, for each row j, bit n - prefix[-j]; shifted left by v it
-    gives the differences v would add, so testing and recording them is
-    one AND and one OR whatever the number of rows.
+    The walker tests rows inline with two bitmasks laid out in rows of 2n
+    bits, row j at bit (j-1)*2n.  `used` holds difference d of row j at bit
+    d + n.  `tails` holds, for each row j, bit n - prefix[-j]; shifted left
+    by v it gives the differences v would add, so testing and recording them
+    is one AND and one OR whatever the number of rows.  Before trying any
+    candidate the walker drops the values whose row-1 difference is used:
+    bit v of used >> n - prefix[-1] is that difference's bit.
     """
 
     k: int | None = None
@@ -117,37 +111,13 @@ class RowsRule(PrefixRule):
     def __call__(self, prefix: Sequence[int]) -> bool:
         return triangle.distinct_rows(prefix, len(prefix) if self.k is None else self.k)
 
-    def stepper(self, n: int) -> tuple[Any, Callable]:
-        width = 2 * n
-        rows = n if self.k is None else max(0, min(self.k, n))
-        keep = (1 << rows * width) - 1
-
-        def step(prefix: list, state: tuple[int, int], v: int) -> tuple[int, int] | None:
-            used, tails = state
-            new = tails << v
-            if used & new:
-                return None
-            return used | new, (tails << width | 1 << n - v) & keep
-
-        return (0, 0), step
-
 
 @dataclass(frozen=True)
-class ConvexRule(PrefixRule):
+class ConvexRule:
     """Consecutive differences of the prefix are non-decreasing."""
 
     def __call__(self, prefix: Sequence[int]) -> bool:
         return all(prefix[i + 1] - prefix[i] <= prefix[i + 2] - prefix[i + 1] for i in range(len(prefix) - 2))
-
-    def stepper(self, n: int) -> tuple[Any, Callable]:
-        def step(prefix: list, state: int, v: int) -> int | None:
-            # state: the smallest difference the next value may add
-            if not prefix:
-                return -n
-            d = v - prefix[-1]
-            return d if d >= state else None
-
-        return -n, step
 
 
 one_costas_prefix_ok = RowsRule(1)
@@ -160,19 +130,6 @@ def k_costas_prefix_ok(k: int) -> RowsRule:
     return RowsRule(k)
 
 
-def _stepper(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[Any, Callable]:
-    if isinstance(prefix_ok, PrefixRule):
-        return prefix_ok.stepper(n)
-
-    def step(prefix: list, state: tuple, v: int) -> tuple | None:
-        prefix.append(v)
-        ok = prefix_ok(prefix)
-        prefix.pop()
-        return state if ok else None
-
-    return (), step
-
-
 def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[list], Any],
           first: int | None = None, reach: int | None = None) -> None:
     """Visit, depth-first in ascending order, the sequences of distinct values from 1..n
@@ -180,32 +137,52 @@ def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[li
 
     leaf(prefix) is called on each visited sequence of length at least reach
     (default n: the permutations), with the walker's own list; a true return
-    ends the walk.
+    ends the walk.  A RowsRule is tested inline (see its docstring); any other
+    predicate is called on the walker's list with the candidate appended.
     """
-    root, step = _stepper(prefix_ok, n)
     reach = n if reach is None else reach
     prefix: list[int] = []
+    append, pop = prefix.append, prefix.pop
 
-    def visit(state: Any, free: int, choices: int) -> bool:
+    def visit(free: int, choices: int) -> bool:
+        if len(prefix) >= reach and leaf(prefix):
+            return True
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            append(low.bit_length() - 1)
+            rest = free ^ low
+            if prefix_ok(prefix) and visit(rest, rest):
+                return True
+            pop()
+        return False
+
+    def visit_rows(used: int, tails: int, free: int, choices: int) -> bool:
         if len(prefix) >= reach and leaf(prefix):
             return True
         while choices:
             low = choices & -choices
             choices ^= low
             v = low.bit_length() - 1
-            child = step(prefix, state, v)
-            if child is None:
+            new = tails << v
+            if used & new:
                 continue
-            prefix.append(v)
+            append(v)
             rest = free ^ low
-            stop = visit(child, rest, rest)
-            prefix.pop()
-            if stop:
+            new |= used
+            if visit_rows(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)):
                 return True
+            pop()
         return False
 
     values = (1 << n + 1) - 2
-    visit(root, values, values if first is None else 1 << first)
+    choices = values if first is None else 1 << first
+    if isinstance(prefix_ok, RowsRule):
+        width = 2 * n
+        keep = (1 << width * (n if prefix_ok.k is None else max(0, min(prefix_ok.k, n)))) - 1
+        visit_rows(0, 0, values, choices)
+    else:
+        visit(values, choices)
 
 
 def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
@@ -234,6 +211,9 @@ def _subtree(spec: SearchSpec, first: int | None = None):
 
     def leaf(prefix: list) -> None:
         nonlocal count
+        if mode == "count" and accept is None:
+            count += 1
+            return
         full = tuple(prefix)
         if accept is not None and not accept(full):
             return
@@ -274,11 +254,12 @@ def enumerate(spec: SearchSpec, workers: int = 1):
 
 
 class Searchable(NamedTuple):
-    """A searchable property: prefix rule, order cap, and the K of k-costas=K."""
+    """A searchable property: prefix rule, order cap, the K of k-costas=K, and list order cap."""
 
-    rule: PrefixRule
+    rule: Callable[[Sequence[int]], bool]
     cap: int
     k: int | None = None
+    list_cap: int = LIST_CAP
 
     def holds(self, p: Permutation) -> bool:
         """Whether p has the property; ValueError unless 0 <= k <= p.n-1."""
@@ -287,13 +268,14 @@ class Searchable(NamedTuple):
         return self.rule(p.entries)
 
 
-# Each searchable property by name; k-costas=K maps K to its property, capped
-# at 10 for K = 0, where all n! permutations match.
+# Each searchable property by name; k-costas=K maps K to its property.  K = 0
+# matches all n! permutations, so it counts to 10 and lists to 8 (40,320);
+# convex has at most eight permutations per order, so it lists to its cap.
 SEARCHABLE = {
     "one-costas": Searchable(one_costas_prefix_ok, 12),
     "costas": Searchable(costas_prefix_ok, 9),
-    "k-costas": lambda k: Searchable(RowsRule(k), 10 if k == 0 else 12, k),
-    "convex": Searchable(convex_prefix_ok, 64),
+    "k-costas": lambda k: Searchable(RowsRule(k), 10, k, 8) if k == 0 else Searchable(RowsRule(k), 12, k),
+    "convex": Searchable(convex_prefix_ok, 64, list_cap=64),
 }
 TABLE_KINDS = tuple(name for name, entry in SEARCHABLE.items() if isinstance(entry, Searchable))
 PROPERTY_FORMS = tuple(name if name in TABLE_KINDS else f"{name}=K" for name in SEARCHABLE)
@@ -320,7 +302,7 @@ def _checked(text: str, n: int, collect: bool = False) -> Searchable:
     prop = searchable(text)
     if prop is None:
         raise ValueError(f"property {text!r} is not searchable (use {', '.join(PROPERTY_FORMS[:-1])} or {PROPERTY_FORMS[-1]})")
-    cap = min(prop.cap, LIST_CAP) if collect and not isinstance(prop.rule, ConvexRule) else prop.cap
+    cap = min(prop.cap, prop.list_cap) if collect else prop.cap
     if not 1 <= n <= cap:
         raise ValueError(f"order for {text} must be 1..{cap}, got {n}")
     if prop.k is not None:
@@ -331,7 +313,7 @@ def _checked(text: str, n: int, collect: bool = False) -> Searchable:
 def matches(text: str, n: int, collect: bool = False):
     """The number of order-n permutations with the searchable property text names or, with
     collect, their list in ascending order.  ValueError first for a bad name, order (1..cap, at
-    most LIST_CAP for a walker list) or K.  Convex uses convexity.enumerate_convex (walked: 24 s at order 24)."""
+    most list_cap for a list) or K.  Convex uses convexity.enumerate_convex (walked: 11 s at order 18)."""
     prop = _checked(text, n, collect)
     if isinstance(prop.rule, ConvexRule):
         found = sorted(convexity.enumerate_convex(n), key=lambda p: p.entries)

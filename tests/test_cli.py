@@ -357,7 +357,7 @@ ORDER_CAPS = [
     ("one-costas", 12, 10),
     ("costas", 9, 9),
     ("convex", 64, 64),
-    ("k-costas=0", 10, 10),
+    ("k-costas=0", 10, 8),
     ("k-costas=1", 12, 10),
 ]
 CAP_CASES = [(command, prop, cap) for prop, count_cap, enumerate_cap in ORDER_CAPS

@@ -141,6 +141,29 @@ def test_enumerate_convex_counts():
     assert Permutation((6, 4, 2, 1, 3, 5)) in six
 
 
+def grown_by_whole_fill_checks(n):
+    """The convex permutations of order n, grown as Algorithm 1 with every choice
+    exhausted and each extension found by re-checking the whole fill."""
+    results = set()
+
+    def grow(state):
+        if state.k == n:
+            column_of_row = {row: c + 1 for c, row in enumerate(state.rows_by_column)}
+            results.add(Permutation(tuple(column_of_row[r] for r in range(1, n + 1))))
+            return
+        for candidate in sorted(extension_rows(state)):
+            grow(PartialColumnFill(n, state.rows_by_column + (candidate,)))
+
+    for start in range(1, n + 1):
+        grow(PartialColumnFill(n, (start,)))
+    return results
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_enumerate_equals_growth_by_whole_fill_checks(n):
+    assert enumerate_convex(n) == grown_by_whole_fill_checks(n)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_enumerate_equals_classify_equals_filter(n):
     filtered = {p for p in all_perms(n) if naive_is_convex(p.entries)}

@@ -133,6 +133,16 @@ def test_accept_filter():
     assert all(p[0] == 2 for p in perms)
 
 
+@pytest.mark.parametrize(
+    "prefix_ok", (lambda prefix: True, k_costas_prefix_ok(0), one_costas_prefix_ok),
+    ids=["callable", "k-costas-0", "one-costas"],
+)
+def test_count_applies_the_accept_filter(prefix_ok):
+    accept = lambda t: t[0] == 2
+    collected = search.enumerate(SearchSpec(n=5, prefix_ok=prefix_ok, accept=accept, mode="collect"))
+    assert search.enumerate(SearchSpec(n=5, prefix_ok=prefix_ok, accept=accept)) == len(collected) > 0
+
+
 def test_optimize_max_global_variation():
     spec = SearchSpec(
         n=5,
@@ -204,6 +214,21 @@ def test_reduced_counts_equal_the_unreduced_walk(n):
     for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(n))):
         whole = search.enumerate(SearchSpec(n=n, prefix_ok=lambda prefix, rule=rule: rule(prefix)))
         assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == whole
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rows_rules_walk_as_their_wrapped_calls(n):
+    # the walker tests a RowsRule inline but calls a lambda whole on each prefix
+    for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(-1, n))):
+        wrapped = lambda prefix, rule=rule: rule(prefix)
+        whole = search.enumerate(SearchSpec(n=n, prefix_ok=wrapped, mode="collect"))
+        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect")) == whole
+        for direction, pick in (("max", max), ("min", min)):
+            best = pick(weighted(p.entries) for p in whole)
+            first_best = next(p for p in whole if weighted(p.entries) == best)
+            spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted, direction=direction)
+            assert search.enumerate(spec) == (best, first_best)
+        assert search.longest_prefix(rule, n) == search.longest_prefix(wrapped, n)
 
 
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
