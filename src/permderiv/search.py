@@ -16,9 +16,9 @@ plus subtree n//2+1 when n is odd.  Collect and optimize walk the whole tree
 for their order and first-best witness; convex (complement makes it concave)
 and other predicates are not reduced.
 
-The shipped predicates are rule objects, module-level and picklable, and
-called on a prefix they judge it whole.  Rules do not step: for a RowsRule
-the walker tests the rows inline, carrying a bitmask of used differences per
+The shipped predicates are rule objects, module-level and picklable; called
+on a prefix they judge it whole.  The walker does not call a RowsRule: it
+tests the rows inline, carrying a bitmask of used differences per
 difference-triangle row, so extending a prefix costs a few bit operations
 rather than a rescan.  Any other predicate, ConvexRule included, is called
 on the full prefix at each extension.
