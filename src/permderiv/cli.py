@@ -77,11 +77,6 @@ def _check_property(text: str):
     raise ValueError(f"unknown property {text!r}")
 
 
-def _perm_and_derivative(p: Permutation) -> tuple[list[str], dict]:
-    d = derivative(p)
-    return [str(p), str(d)], {"permutation": str(p), "derivative": str(d)}
-
-
 def _table_lines(rows) -> list[str]:
     lines = [f"{'n':>3} {'total':>12} {'count':>10} {'fraction':>8}"]
     for r in rows:
@@ -154,39 +149,35 @@ def _cmd_construct(args) -> CommandOutput:
     missing = [f"--{name}" for name, value in inputs.items() if value is None]
     if missing:
         raise ValueError(f"construct {kind} needs {' and '.join(missing)}")
+    extra: dict = {}
     metadata: dict = {}
     if kind == "dpair":
         p = dpair.construct_dpair(args.a, args.b)
-        lines, result = _perm_and_derivative(p)
-        result["realized_pair"] = str(dpair.DPair(args.a, -args.b))
-        result["inverse_pair"] = str(dpair.inverse_dpair(args.a, args.b))
+        extra["realized_pair"] = str(dpair.DPair(args.a, -args.b))
+        extra["inverse_pair"] = str(dpair.inverse_dpair(args.a, args.b))
     elif kind == "min-local":
         p = variation.construct_min_local_1costas(args.n)
-        lines, result = _perm_and_derivative(p)
-        result["local_variation"] = variation.local_variation(p)
-        result["global_variation"] = variation.global_variation(p)
+        extra["local_variation"] = variation.local_variation(p)
+        extra["global_variation"] = variation.global_variation(p)
         if args.n % 2:
             metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["min_global_1costas_odd"]
     elif kind == "max-global":
         p = variation.construct_max_global(args.n)
-        lines, result = _perm_and_derivative(p)
-        result["global_variation"] = variation.global_variation(p)
+        extra["global_variation"] = variation.global_variation(p)
         if args.n % 2:
             metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["delta_star_odd"]
     elif kind == "maximin":
         p = variation.construct_maximin_abs(args.n)
-        lines, result = _perm_and_derivative(p)
-        result["maximin_abs"] = variation.maximin_abs_value(args.n)
+        extra["maximin_abs"] = variation.maximin_abs_value(args.n)
     elif kind == "pi":
         p = variation.pi_perm(args.k)
-        lines, result = _perm_and_derivative(p)
     elif kind == "pi-star":
         p = variation.pi_star(args.k)
-        lines, result = _perm_and_derivative(p)
     else:  # realize-shift
         p = realize_shift(args.n, args.s)
-        lines, result = _perm_and_derivative(p)
-        result["sum_characteristic"] = sorted(sum_characteristic(derivative(p).diffs))
+        extra["sum_characteristic"] = sorted(sum_characteristic(derivative(p).diffs))
+    lines = [str(p), str(derivative(p))]
+    result = {"permutation": lines[0], "derivative": lines[1], **extra}
     return CommandOutput(lines=lines, result=result, inputs=inputs, metadata=metadata)
 
 
@@ -292,14 +283,14 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, help="shift for realize-shift")
     p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list all permutations with a property")
-    p.add_argument("--property", required=True, help=" | ".join(search.PROPERTY_FORMS))
-    p.add_argument("--n", type=int, required=True)
+    searched = argparse.ArgumentParser(add_help=False, parents=[common])
+    searched.add_argument("--property", required=True, help=" | ".join(search.PROPERTY_FORMS))
+    searched.add_argument("--n", type=int, required=True)
+
+    p = sub.add_parser("enumerate", parents=[searched], help="list all permutations with a property")
     p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("count", parents=[common], help="count permutations with a property")
-    p.add_argument("--property", required=True, help=" | ".join(search.PROPERTY_FORMS))
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("count", parents=[searched], help="count permutations with a property")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("table", parents=[common], help="count table for orders 1..max-n")

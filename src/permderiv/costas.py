@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import search, triangle
-from .perm_core import Permutation, format_int_sequence, parse_int_sequence
+from .perm_core import Permutation
 
 Point = tuple[int, int]
 PointPair = tuple[Point, Point]
@@ -33,13 +33,6 @@ class SignedPermutation:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def from_string(cls, text: str) -> "SignedPermutation":
-        return cls(parse_int_sequence(text))
-
-    def __str__(self) -> str:
-        return format_int_sequence(self.entries)
 
 
 @dataclass(frozen=True)
@@ -88,10 +81,6 @@ class JedwabWitness:
         if b - d != s - v or a - c != -(r - u):
             raise ValueError("displacements do not mirror")
 
-    @property
-    def shares_point(self) -> bool:
-        return bool({*self.first} & {*self.second})
-
 
 def is_k_costas(p: Permutation, k: int) -> bool:
     """True iff difference-triangle rows 0..k are repeat-free; always true at k=0."""
@@ -137,8 +126,8 @@ def jedwab_witness(p: Permutation) -> JedwabWitness | None:
     """Search all ordered point pairs for a mirrored-displacement witness.
 
     Returns the first witness in row-major scan order, or None.  Every
-    Costas permutation of order >= 4 has one; sharing of points between the
-    two segments is allowed (see JedwabWitness.shares_point).
+    Costas permutation of order >= 4 has one; the two segments may share a
+    point.
 
     O(n^2): the first ordered pair in scan order is filed under each
     displacement, and the partner of (rs, uv) is the pair filed under the

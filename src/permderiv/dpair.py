@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .perm_core import MAX_ORDER, Permutation, derivative
+from .perm_core import Permutation, check_order, derivative
 
 
 class NotCoprime(ValueError):
@@ -69,8 +69,7 @@ def _check_steps(a: int, b: int) -> None:
         raise NotStrictlyOrdered(f"need 1 <= a < b, got a={a}, b={b}")
     if gcd(a, b) != 1:
         raise NotCoprime(f"a={a} and b={b} share factor {gcd(a, b)}")
-    if a + b > MAX_ORDER:
-        raise ValueError(f"order {a + b} exceeds {MAX_ORDER}")
+    check_order(a + b)
 
 
 def construct_dpair(a: int, b: int) -> Permutation:

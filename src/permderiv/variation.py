@@ -10,12 +10,7 @@ derivative entry.
 """
 from __future__ import annotations
 
-from .perm_core import MAX_ORDER, Permutation, derivative, rotate90
-
-
-def _check_order(n: int, minimum: int = 2) -> None:
-    if not minimum <= n <= MAX_ORDER:
-        raise ValueError(f"order must be between {minimum} and {MAX_ORDER}, got {n}")
+from .perm_core import Permutation, check_order, derivative, rotate90
 
 
 def local_variation(p: Permutation) -> int:
@@ -68,7 +63,7 @@ def delta_star(n: int) -> int:
     (n^2-2)/2 for even n and (n^2-3)/2 for odd n; both are gated by the
     exhaustive oracle in the test suite.
     """
-    _check_order(n)
+    check_order(n, 2)
     return (n * n - 2) // 2 if n % 2 == 0 else (n * n - 3) // 2
 
 
@@ -79,7 +74,7 @@ def construct_max_global(n: int) -> Permutation:
     remain in range, and ends at k+1; the output is mid-alternating with
     endpoint set {k, k+1}.
     """
-    _check_order(n)
+    check_order(n, 2)
     k = n // 2
     out = [k]
     high, low = k + 2, 1
@@ -104,7 +99,7 @@ def pi_perm(k: int) -> Permutation:
     >>> pi_perm(5).entries
     (3, 4, 2, 5, 1)
     """
-    _check_order(k, minimum=1)
+    check_order(k)
     if k % 2 == 0:
         mid = k // 2
         out = [mid]
@@ -135,7 +130,7 @@ def construct_min_local_1costas(n: int) -> Permutation:
     anti-diagonal, with rows/columns reversed according to the parity of
     n and of k = floor(n/2); it also attains min_global_1costas(n).
     """
-    _check_order(n)
+    check_order(n, 2)
     k = n // 2
     if n % 2 == 0:
         block = pi_perm(k).entries
@@ -159,13 +154,13 @@ def min_global_1costas(n: int) -> int:
     n^2/4 for even n and (n^2-1)/4 + 1 for odd n; both oracle-gated in the
     test suite.
     """
-    _check_order(n)
+    check_order(n, 2)
     return n * n // 4 if n % 2 == 0 else (n * n - 1) // 4 + 1
 
 
 def maximin_abs_value(n: int) -> int:
     """Largest possible value of the smallest |derivative entry|: floor(n/2)."""
-    _check_order(n)
+    check_order(n, 2)
     return n // 2
 
 
@@ -178,7 +173,7 @@ def construct_maximin_abs(n: int) -> Permutation:
     >>> construct_maximin_abs(6).entries
     (4, 1, 5, 2, 6, 3)
     """
-    _check_order(n)
+    check_order(n, 2)
     if n % 2 == 0:
         k = n // 2
         out = []

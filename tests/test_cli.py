@@ -4,6 +4,7 @@ import json
 import pytest
 
 from permderiv import MAX_ORDER, cli
+from permderiv.triangle import MAX_TRIANGLE_ORDER
 
 
 def run(capsys, *argv):
@@ -77,6 +78,12 @@ def test_triangle_duplicate_values(capsys):
     code, _, err = run(capsys, "triangle", "1,2,1")
     assert code == 2
     assert "error:" in err
+
+
+def test_triangle_past_the_order_cap_is_invalid_input(capsys):
+    code, out, err = run(capsys, "triangle", ",".join(map(str, range(MAX_TRIANGLE_ORDER + 1))))
+    assert (code, out) == (2, "")
+    assert err == f"error: difference triangle limited to order {MAX_TRIANGLE_ORDER}, got {MAX_TRIANGLE_ORDER + 1}\n"
 
 
 @pytest.mark.parametrize(
@@ -166,6 +173,55 @@ def test_construct_realize_shift(capsys):
     code, out, _ = run(capsys, "construct", "realize-shift", "--n", "7", "--s", "4")
     assert code == 0
     assert out.split("\n")[0] == "5,1,2,3,4,6,7"
+
+
+# Each construction's text output and JSON envelope, runtime_s dropped, with
+# the JSON keys in the order the command writes them.
+CONSTRUCT_OUTPUTS = [
+    (["dpair", "--a", "5", "--b", "13"],
+     "1,6,11,16,3,8,13,18,5,10,15,2,7,12,17,4,9,14\n5,5,5,-13,5,5,5,-13,5,5,-13,5,5,5,-13,5,5\n",
+     '{"command": "construct", "inputs": {"a": 5, "b": 13}, "result": {"permutation": '
+     '"1,6,11,16,3,8,13,18,5,10,15,2,7,12,17,4,9,14", "derivative": "5,5,5,-13,5,5,5,-13,5,5,-13,5,5,5,-13,5,5", '
+     '"realized_pair": "5,-13", "inverse_pair": "11,-7"}, "metadata": {}}'),
+    (["min-local", "--n", "7"],
+     "4,7,5,6,2,1,3\n3,-2,1,-4,-1,2\n",
+     '{"command": "construct", "inputs": {"n": 7}, "result": {"permutation": "4,7,5,6,2,1,3", '
+     '"derivative": "3,-2,1,-4,-1,2", "local_variation": 4, "global_variation": 13}, '
+     '"metadata": {"divergent_closed_forms": {"used": "(n^2-1)/4+1", "divergent": "(n-1)^2/4+1", '
+     '"note": "the divergent form fails its own order-11 witness, which sums to 31"}}}'),
+    (["max-global", "--n", "7"],
+     "3,5,1,6,2,7,4\n2,-4,5,-4,5,-3\n",
+     '{"command": "construct", "inputs": {"n": 7}, "result": {"permutation": "3,5,1,6,2,7,4", '
+     '"derivative": "2,-4,5,-4,5,-3", "global_variation": 23}, '
+     '"metadata": {"divergent_closed_forms": {"used": "(n^2-3)/2", "divergent": "(3n^2-6n-13)/4", '
+     '"note": "the divergent form matches n=7 but fails exhaustive search at n=5"}}}'),
+    (["maximin", "--n", "6"],
+     "4,1,5,2,6,3\n-3,4,-3,4,-3\n",
+     '{"command": "construct", "inputs": {"n": 6}, "result": {"permutation": "4,1,5,2,6,3", '
+     '"derivative": "-3,4,-3,4,-3", "maximin_abs": 3}, "metadata": {}}'),
+    (["pi", "--k", "5"],
+     "3,4,2,5,1\n1,-2,3,-4\n",
+     '{"command": "construct", "inputs": {"k": 5}, "result": {"permutation": "3,4,2,5,1", '
+     '"derivative": "1,-2,3,-4"}, "metadata": {}}'),
+    (["pi-star", "--k", "6"],
+     "6,4,2,1,3,5\n-2,-2,-1,2,2\n",
+     '{"command": "construct", "inputs": {"k": 6}, "result": {"permutation": "6,4,2,1,3,5", '
+     '"derivative": "-2,-2,-1,2,2"}, "metadata": {}}'),
+    (["realize-shift", "--n", "6", "--s", "2"],
+     "3,1,2,4,5,6\n-2,1,2,1,1\n",
+     '{"command": "construct", "inputs": {"n": 6, "s": 2}, "result": {"permutation": "3,1,2,4,5,6", '
+     '"derivative": "-2,1,2,1,1", "sum_characteristic": [-2, -1, 0, 1, 2, 3]}, "metadata": {}}'),
+]
+
+
+@pytest.mark.parametrize("argv,text,envelope", CONSTRUCT_OUTPUTS, ids=[case[0][0] for case in CONSTRUCT_OUTPUTS])
+def test_construct_outputs_are_pinned(capsys, argv, text, envelope):
+    assert run(capsys, "construct", *argv) == (0, text, "")
+    code, out, err = run(capsys, "construct", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    parsed = json.loads(out)
+    del parsed["metadata"]["runtime_s"]
+    assert json.dumps(parsed) == envelope
 
 
 def test_enumerate_convex(capsys):

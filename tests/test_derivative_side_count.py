@@ -43,3 +43,9 @@ def test_derivative_side_count_matches_figure1_rows():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_count_one_costas_matches_derivative_side_count(n):
     assert count_one_costas(n).count == derivative_side_count(n)
+
+
+@pytest.mark.slow
+def test_order_11_one_costas_count_from_both_sides():
+    # past the oracles' reach: about 20 s, run with pytest -m slow
+    assert derivative_side_count(11) == count_one_costas(11).count == 1104876

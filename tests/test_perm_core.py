@@ -28,7 +28,9 @@ from permderiv import (
     reverse,
     rotate90,
     sum_characteristic,
+    variation,
 )
+from permderiv.dpair import construct_dpair, inverse_dpair
 
 
 def all_perms(n):
@@ -84,6 +86,35 @@ def test_integrate_rejects_orders_above_the_cap():
     p = integrate((1,) * (MAX_ORDER - 1))
     assert p.n == MAX_ORDER
     assert p.entries == tuple(range(1, MAX_ORDER + 1))
+
+
+# Every entry point that takes an order, with the least order it allows.
+ORDER_CHECKED = [
+    ("Permutation", lambda n: Permutation(tuple(range(1, n + 1))), 1),
+    ("integrate", lambda n: integrate((1,) * (n - 1)), 1),
+    ("realize_shift", lambda n: realize_shift(n, 0), 1),
+    ("pi_perm", variation.pi_perm, 1),
+    ("pi_star", variation.pi_star, 1),
+    *((f.__name__, f, 2) for f in (
+        variation.delta_star, variation.construct_max_global, variation.construct_min_local_1costas,
+        variation.min_global_1costas, variation.maximin_abs_value, variation.construct_maximin_abs,
+    )),
+    ("construct_dpair", lambda n: construct_dpair(1, n - 1), 1),
+    ("inverse_dpair", lambda n: inverse_dpair(1, n - 1), 1),
+]
+# integrate's input always has order at least 1, and the dpair steps are
+# checked before their order a+b, so these reach the check only past the cap.
+ABOVE_CAP_ONLY = {"integrate", "construct_dpair", "inverse_dpair"}
+ORDER_CASES = [(name, call, minimum, n) for name, call, minimum in ORDER_CHECKED
+               for n in (minimum - 1, MAX_ORDER + 1) if n > MAX_ORDER or name not in ABOVE_CAP_ONLY]
+
+
+@pytest.mark.parametrize("call,minimum,n", [case[1:] for case in ORDER_CASES],
+                         ids=[f"{name}-{n}" for name, _, _, n in ORDER_CASES])
+def test_every_order_check_gives_the_same_message(call, minimum, n):
+    with pytest.raises(ValueError) as info:
+        call(n)
+    assert str(info.value) == f"order must be between {minimum} and {MAX_ORDER}, got {n}"
 
 
 def test_integrate_accepts_derivative_objects():

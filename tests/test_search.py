@@ -121,28 +121,6 @@ def test_collect_is_lexicographic():
     assert all(naive_is_one_costas(t) for t in entries)
 
 
-def test_accept_filter():
-    spec = SearchSpec(
-        n=4,
-        prefix_ok=lambda prefix: True,
-        accept=lambda t: t[0] == 2,
-        mode="collect",
-    )
-    perms = search.enumerate(spec)
-    assert len(perms) == 6
-    assert all(p[0] == 2 for p in perms)
-
-
-@pytest.mark.parametrize(
-    "prefix_ok", (lambda prefix: True, k_costas_prefix_ok(0), one_costas_prefix_ok),
-    ids=["callable", "k-costas-0", "one-costas"],
-)
-def test_count_applies_the_accept_filter(prefix_ok):
-    accept = lambda t: t[0] == 2
-    collected = search.enumerate(SearchSpec(n=5, prefix_ok=prefix_ok, accept=accept, mode="collect"))
-    assert search.enumerate(SearchSpec(n=5, prefix_ok=prefix_ok, accept=accept)) == len(collected) > 0
-
-
 def test_optimize_max_global_variation():
     spec = SearchSpec(
         n=5,
@@ -241,7 +219,6 @@ def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, first
     unreduced = (
         SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="collect"),
         SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="optimize", objective=weighted),
-        SearchSpec(n=n, prefix_ok=costas_prefix_ok, accept=lambda t: True),
         SearchSpec(n=n, prefix_ok=convex_prefix_ok),
         SearchSpec(n=n, prefix_ok=lambda prefix: True),
     )

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from permderiv import triangle
-from permderiv.triangle import DuplicateValues, build, distinct_through, render, row, row_has_repeat
+from permderiv.triangle import MAX_TRIANGLE_ORDER, DuplicateValues, build, distinct_through, render, row, row_has_repeat
 
 
 EXAMPLE_ROWS = (
@@ -37,6 +37,13 @@ def test_duplicate_reason_names_the_first_repeat_and_stays_short():
     assert "repeats 0 at positions 1 and 100001" in reason
     with pytest.raises(DuplicateValues, match="repeats 2 at positions 2 and 4$"):
         build((1, 2, 3, 2, 1))
+
+
+def test_build_rejects_orders_above_the_cap():
+    # a longer base with a repeat still names the repeat (the test above)
+    with pytest.raises(ValueError, match=f"^difference triangle limited to order {MAX_TRIANGLE_ORDER}, "
+                                         f"got {MAX_TRIANGLE_ORDER + 1}$"):
+        build(range(MAX_TRIANGLE_ORDER + 1))
 
 
 def test_row_accessors():
