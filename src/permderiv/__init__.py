@@ -5,6 +5,8 @@ Costas-style predicates and searches in costas; two-valued derivatives in
 dpair; variation extremals in variation; convex permutations in convexity;
 the pruned enumeration engine in search; the command line in cli.
 """
+import types
+
 from .perm_core import (
     Derivative,
     InconsistentTree,
@@ -80,85 +82,7 @@ from .search import CountRow, SearchSpec, count_costas, count_one_costas, table
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuilderState",
-    "CountRow",
-    "DPair",
-    "Derivative",
-    "DifferenceTriangle",
-    "DuplicateValues",
-    "InconsistentTree",
-    "InvalidTree",
-    "JedwabWitness",
-    "MAX_ORDER",
-    "NotCoprime",
-    "NotRealizable",
-    "NotStrictlyOrdered",
-    "PartialColumnFill",
-    "Permutation",
-    "SearchSpec",
-    "SignedPermutation",
-    "StateNotKConvex",
-    "WeightedTree",
-    "algorithm1",
-    "anti_identity",
-    "build",
-    "classify_convex",
-    "complement",
-    "construct_dpair",
-    "construct_max_global",
-    "construct_maximin_abs",
-    "construct_min_local_1costas",
-    "count_costas",
-    "count_one_costas",
-    "delta_star",
-    "derivative",
-    "descent_count",
-    "distinct_through",
-    "enumerate_convex",
-    "extend",
-    "extension_rows",
-    "format_int_sequence",
-    "from_tree",
-    "gamma",
-    "global_variation",
-    "identity",
-    "integrate",
-    "interval_rows",
-    "inverse",
-    "inverse_dpair",
-    "is_centrosymmetric",
-    "is_convex",
-    "is_costas",
-    "is_costas_centrosymmetric",
-    "is_costas_half",
-    "is_costas_signed",
-    "is_costas_subpermutation",
-    "is_dpair_realization",
-    "is_feasible_dpair",
-    "is_grassmannian",
-    "is_k_convex",
-    "is_k_costas",
-    "is_lipschitz",
-    "is_mid_alternating",
-    "is_realizable",
-    "jedwab_witness",
-    "local_variation",
-    "matrix",
-    "maximin_abs_value",
-    "min_global_1costas",
-    "parse_int_sequence",
-    "permitted_positions",
-    "pi_perm",
-    "pi_star",
-    "realize_shift",
-    "render",
-    "reverse",
-    "reverse_second_half",
-    "rotate90",
-    "row",
-    "row_has_repeat",
-    "start_state",
-    "sum_characteristic",
-    "table",
-]
+# Every public name imported above; pydoc lists re-exported classes and
+# functions only when they are named here.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

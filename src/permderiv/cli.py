@@ -27,13 +27,9 @@ from .perm_core import (
 _NEGATIVE_SEQUENCE = re.compile(r"-\d+(?:,-?\d+)*")
 
 
-class _CliArgumentError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one-line diagnostics, exit code 2
-        raise _CliArgumentError(message)
+        raise ValueError(message)
 
 
 @dataclass
@@ -44,10 +40,6 @@ class CommandOutput:
     inputs: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
     csv_rows: list[tuple] | None = None
-
-
-def _perm_arg(text: str) -> Permutation:
-    return Permutation(parse_int_sequence(text))
 
 
 _CHECK_ONLY = {
@@ -91,7 +83,7 @@ def _table_csv(rows) -> list[tuple]:
 
 
 def _cmd_derive(args) -> CommandOutput:
-    p = _perm_arg(args.permutation)
+    p = Permutation.from_string(args.permutation)
     d = derivative(p)
     return CommandOutput(
         lines=[str(d)],
@@ -113,7 +105,7 @@ def _cmd_integrate(args) -> CommandOutput:
 def _cmd_triangle(args) -> CommandOutput:
     t = triangle.build(parse_int_sequence(args.sequence))
     return CommandOutput(
-        lines=triangle.render(t, args.render).split("\n"),
+        lines=[triangle.render(t, args.render)],
         result=triangle.to_json_dict(t),
         inputs={"sequence": args.sequence, "render": args.render},
     )
@@ -121,7 +113,7 @@ def _cmd_triangle(args) -> CommandOutput:
 
 def _cmd_check(args) -> CommandOutput:
     predicate = _check_property(args.property)
-    p = _perm_arg(args.permutation)
+    p = Permutation.from_string(args.permutation)
     holds = bool(predicate(p))
     return CommandOutput(
         code=0 if holds else 1,
@@ -182,10 +174,10 @@ def _cmd_construct(args) -> CommandOutput:
 
 
 def _cmd_enumerate(args) -> CommandOutput:
-    perms = search.matches(args.property, args.n, collect=True)
+    perms = [str(p) for p in search.matches(args.property, args.n, collect=True)]
     return CommandOutput(
-        lines=[str(p) for p in perms],
-        result={"count": len(perms), "permutations": [str(p) for p in perms]},
+        lines=perms,
+        result={"count": len(perms), "permutations": perms},
         inputs={"property": args.property, "n": args.n},
     )
 
@@ -340,13 +332,10 @@ def run(argv=None) -> int:
         started = time.perf_counter()
         out: CommandOutput = args.handler(args)
         rendered = _render(args, out, time.perf_counter() - started)
-    except (_CliArgumentError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if rendered:
-        print(rendered)
-    elif args.format == "text":
-        print()
+    print(rendered)
     return out.code
 
 

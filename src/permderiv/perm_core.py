@@ -175,8 +175,8 @@ class Derivative:
 class WeightedTree:
     """A weighted spanning tree on vertices {1..n}.
 
-    Each edge is (i, j, w) with 1 <= i < j <= n; the weight states that the
-    permutation value at j exceeds the value at i by w.
+    Each edge is (i, j, w) with 1 <= i < j <= n and an integer w; the weight
+    states that the permutation value at j exceeds the value at i by w.
     """
 
     n: int
@@ -192,9 +192,11 @@ class WeightedTree:
         for e in self.edges:
             if len(e) != 3:
                 raise InvalidTree(f"edge {e!r} is not (i, j, weight)")
-            i, j, _ = e
+            i, j, w = e
             if not (1 <= i < j <= n):
                 raise InvalidTree(f"edge endpoints ({i},{j}) must satisfy 1 <= i < j <= {n}")
+            if not isinstance(w, int):
+                raise InvalidTree(f"edge {e!r} has weight {w!r}, not an integer")
         # n-1 edges + connected => acyclic, so connectivity is the whole check
         if len(_values_from_1(self)) != n:
             raise InvalidTree("edges do not connect all vertices")

@@ -15,15 +15,11 @@ from .perm_core import Permutation, check_order, derivative, rotate90
 
 def local_variation(p: Permutation) -> int:
     """Largest |consecutive difference|; 0 at order 1 by convention."""
-    if p.n == 1:
-        return 0
-    return max(map(abs, derivative(p).diffs))
+    return max(map(abs, derivative(p).diffs), default=0)
 
 
 def global_variation(p: Permutation) -> int:
     """Sum of |consecutive differences| (the l1 norm of the derivative)."""
-    if p.n == 1:
-        return 0
     return sum(map(abs, derivative(p).diffs))
 
 

@@ -67,8 +67,7 @@ _STAGGERED_4312 = "\n".join(
 
 
 def _column_prefix(p: Permutation, k: int) -> convexity.PartialColumnFill:
-    column_rows = {p[i]: i + 1 for i in range(p.n)}
-    return convexity.PartialColumnFill(p.n, tuple(column_rows[c] for c in range(1, k + 1)))
+    return convexity.PartialColumnFill(p.n, inverse(p).entries[:k])
 
 
 def _occupies_interval(p: Permutation, k: int) -> bool:

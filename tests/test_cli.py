@@ -401,6 +401,18 @@ def test_k_costas_non_integer_names_the_property(capsys, argv):
     assert "int()" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["check", "--property", "dpair=1,2,3", "1,2,3"], "error: dpair property needs two values, got '1,2,3'\n"),
+        (["count", "--property", "nosuch", "--n", "5"],
+         "error: property 'nosuch' is not searchable (use one-costas, costas, k-costas=K or convex)\n"),
+    ],
+)
+def test_bad_property_text_is_one_line_exit_2(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_lipschitz_non_integer_names_the_property(capsys):
     code, _, err = run(capsys, "check", "--property", "lipschitz=y", "1,2,3")
     assert code == 2

@@ -16,6 +16,8 @@ from permderiv import (
     is_k_convex,
     reverse,
 )
+from permderiv.convexity import MAX_CONVEX_ORDER
+from permderiv.search import SEARCHABLE
 
 
 def all_perms(n):
@@ -94,6 +96,7 @@ def test_extension_rows_dead_end():
     state = PartialColumnFill(7, (4, 3, 2, 1, 5))
     assert is_k_convex(state)
     assert extension_rows(state) == frozenset()
+    assert extension_rows(PartialColumnFill(3, (2, 1, 3))) == frozenset()  # full fill
 
 
 def test_extension_rows_requires_k_convex_state():
@@ -118,6 +121,8 @@ def test_algorithm1_failure():
 def test_algorithm1_rejects_bad_chooser():
     with pytest.raises(ValueError):
         algorithm1(4, lambda candidates: 99)
+    with pytest.raises(ValueError, match=r"chooser returned 4, not one of \(2,\)"):
+        algorithm1(4, lambda candidates: 1 if len(candidates) == 4 else 4)
 
 
 def test_algorithm1_outputs_are_convex():
@@ -193,3 +198,11 @@ def test_convex_derivative_shape():
     for p in enumerate_convex(7):
         d = derivative(p).diffs
         assert all(d[i] <= d[i + 1] for i in range(len(d) - 1))
+
+
+def test_enumerate_convex_order_cap():
+    assert MAX_CONVEX_ORDER >= SEARCHABLE["convex"].cap
+    assert enumerate_convex(MAX_CONVEX_ORDER) == classify_convex(MAX_CONVEX_ORDER)
+    with pytest.raises(ValueError) as info:
+        enumerate_convex(MAX_CONVEX_ORDER + 1)
+    assert str(info.value) == f"convex enumeration limited to order {MAX_CONVEX_ORDER}, got {MAX_CONVEX_ORDER + 1}"

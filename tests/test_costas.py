@@ -161,6 +161,19 @@ def test_jedwab_witness_small_orders():
     jedwab_witness(Permutation((2, 1, 3)))
 
 
+@pytest.mark.parametrize(
+    "first,second,reason",
+    [
+        (((1, 2), (1, 2)), ((3, 4), (2, 1)), "first segment is degenerate"),
+        (((1, 2), (2, 3)), ((1, 2), (2, 3)), "witness pairs coincide"),
+        (((1, 2), (2, 3)), ((3, 4), (4, 6)), "displacements do not mirror"),
+    ],
+)
+def test_jedwab_witness_rejects_invalid_pairs(first, second, reason):
+    with pytest.raises(ValueError, match=reason):
+        JedwabWitness(first, second)
+
+
 @pytest.mark.parametrize("n", (4, 5, 6))
 def test_jedwab_witness_for_every_costas(n):
     for p in all_perms(n):

@@ -12,10 +12,13 @@ from permderiv import (
     NotRealizable,
     Permutation,
     WeightedTree,
+    algorithm1,
     anti_identity,
+    classify_convex,
     complement,
     derivative,
     descent_count,
+    enumerate_convex,
     from_tree,
     identity,
     integrate,
@@ -101,6 +104,9 @@ ORDER_CHECKED = [
     )),
     ("construct_dpair", lambda n: construct_dpair(1, n - 1), 1),
     ("inverse_dpair", lambda n: inverse_dpair(1, n - 1), 1),
+    ("algorithm1", lambda n: algorithm1(n, min), 1),
+    ("enumerate_convex", enumerate_convex, 1),
+    ("classify_convex", classify_convex, 1),
 ]
 # integrate's input always has order at least 1, and the dpair steps are
 # checked before their order a+b, so these reach the check only past the cap.
@@ -281,8 +287,19 @@ def test_from_tree_errors():
         WeightedTree(3, ((1, 2, 1),))  # too few edges
     with pytest.raises(InvalidTree):
         WeightedTree(3, ((2, 1, 1), (2, 3, 1)))  # endpoints not ordered
+    with pytest.raises(InvalidTree, match="vertex count must be positive, got 0"):
+        WeightedTree(0, ())
+    with pytest.raises(InvalidTree, match=r"edge \(1, 2\) is not \(i, j, weight\)"):
+        WeightedTree(2, ((1, 2),))
     with pytest.raises(InconsistentTree):
         from_tree(WeightedTree(3, ((1, 2, 5), (2, 3, 1))))
+
+
+@pytest.mark.parametrize("weight", [1.0, 1.5, "1"])
+def test_tree_weights_must_be_integers(weight):
+    with pytest.raises(InvalidTree) as info:
+        WeightedTree(2, ((1, 2, weight),))
+    assert str(info.value) == f"edge (1, 2, {weight!r}) has weight {weight!r}, not an integer"
 
 
 @pytest.mark.parametrize("n", range(2, 7))

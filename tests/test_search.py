@@ -86,6 +86,8 @@ def test_spec_validation():
         SearchSpec(n=3, prefix_ok=lambda p: True, mode="sample")
     with pytest.raises(ValueError):
         SearchSpec(n=3, prefix_ok=lambda p: True, mode="optimize")
+    with pytest.raises(ValueError, match="direction must be 'max' or 'min', got 'up'"):
+        SearchSpec(n=3, prefix_ok=lambda p: True, mode="optimize", objective=sum, direction="up")
 
 
 def test_count_everything():

@@ -63,6 +63,9 @@ def test_repeat_predicates():
     assert not row_has_repeat(t, 5)  # single entry
     assert distinct_through(t, 0)
     assert not distinct_through(t, 1)
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=f"row index must be between 0 and 5, got {k}"):
+            distinct_through(t, k)
     clean = build((4, 3, 1, 2))
     assert all(not row_has_repeat(clean, k) for k in range(4))
     assert distinct_through(clean, 3)
