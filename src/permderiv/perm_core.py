@@ -185,6 +185,8 @@ class WeightedTree:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         n = self.n
+        if not isinstance(n, int):
+            raise InvalidTree(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise InvalidTree(f"vertex count must be positive, got {n}")
         if len(self.edges) != n - 1:
@@ -193,6 +195,8 @@ class WeightedTree:
             if len(e) != 3:
                 raise InvalidTree(f"edge {e!r} is not (i, j, weight)")
             i, j, w = e
+            if not (isinstance(i, int) and isinstance(j, int)):
+                raise InvalidTree(f"edge {e!r} has endpoints that are not both integers")
             if not (1 <= i < j <= n):
                 raise InvalidTree(f"edge endpoints ({i},{j}) must satisfy 1 <= i < j <= {n}")
             if not isinstance(w, int):

@@ -4,17 +4,23 @@ One walker serves every search: it chooses values depth-first in ascending
 order, masking used values and cutting subtrees as soon as a prefix fails;
 because the predicate is hereditary (a failing prefix never extends to an
 accepted permutation) the pruned walk visits exactly the permutations the
-naive n!-filter would accept.  Counting, collecting, optimizing and the
-longest-prefix search differ only in what they do at the walk's leaves.
-Every walk runs in the calling thread.
+naive n!-filter would accept.  Collecting, optimizing and the longest-prefix
+search differ only in what they do at the walk's leaves.  The longest-prefix
+search asks each walk for one sequence of a given length, n first, then n-1
+and so on, so it calls back once, on its result, not at every node.  Every
+walk runs in the calling thread.
 
-A RowsRule count walks half the tree.  Complement (v -> n+1-v) negates
-every difference, so it keeps each triangle row repeat-free or not and maps
-the accepted permutations starting with f onto those starting with n+1-f:
-the count is twice that of the subtrees f <= n//2, plus subtree n//2+1 when
-n is odd.  Collect and optimize walk the whole tree for their order and
-first-best witness; convex (complement makes it concave) and other
-predicates are not reduced.
+RowsRule counts and collects walk half the tree.  Complement (v -> n+1-v)
+negates every difference, so it keeps each triangle row repeat-free or not
+and maps the accepted permutations starting with f onto those starting with
+n+1-f, reversing their lexicographic order.  A count is twice that of the
+subtrees f <= n//2, plus subtree n//2+1 when n is odd; each subtree is
+counted by _count_rows, the walker's bit recursion with no prefix list and
+no leaf calls.  A collect lists the same subtrees, then the first n//2 of
+them complemented and last first, which are subtrees n//2+1 (n even) or
+n//2+2 (n odd) to n in order.  Optimize walks the whole tree for its
+first-best witness, as its objective has no symmetry; convex (complement
+makes it concave) and other predicates are not reduced.
 
 The shipped predicates are rule objects, module-level and picklable; called
 on a prefix they judge it whole.  The walker does not call a RowsRule: it
@@ -177,28 +183,63 @@ def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[li
     values = (1 << n + 1) - 2
     choices = values if first is None else 1 << first
     if isinstance(prefix_ok, RowsRule):
-        width = 2 * n
-        keep = (1 << width * (n if prefix_ok.k is None else max(0, min(prefix_ok.k, n)))) - 1
+        width, keep = _row_layout(prefix_ok, n)
         visit_rows(0, 0, values, choices)
     else:
         visit(values, choices)
 
 
+def _row_layout(rule: RowsRule, n: int) -> tuple[int, int]:
+    """The row width of the walker's bitmasks for order n, and the mask of the rows rule checks."""
+    width = 2 * n
+    return width, (1 << width * (n if rule.k is None else max(0, min(rule.k, n)))) - 1
+
+
+def _count_rows(rule: RowsRule, n: int, first: int) -> int:
+    """The number of order-n permutations starting with first that rule accepts.
+
+    The bit recursion of _walk's RowsRule branch, keeping no prefix and
+    calling no leaf: each call returns its subtree's count, and a call with
+    one free value left answers with one bit test.
+    """
+    width, keep = _row_layout(rule, n)
+
+    def count(used: int, tails: int, free: int, choices: int) -> int:
+        if not free & free - 1:  # the last value: does its difference in each row repeat?
+            return 1 if choices and not used & tails << free.bit_length() - 1 else 0
+        total = 0
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            v = low.bit_length() - 1
+            new = tails << v
+            if used & new:
+                continue
+            rest = free ^ low
+            new |= used
+            total += count(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v))
+        return total
+
+    return count(0, 0, (1 << n + 1) - 2, 1 << first)
+
+
 def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
     """The first, in ascending order, of the longest sequences of distinct values
-    from 1..n whose every prefix prefix_ok accepts; the walk stops at length n.
-    Raises ValueError, as SearchSpec does, unless 1 <= n <= MAX_SEARCH_ORDER."""
+    from 1..n whose every prefix prefix_ok accepts.
+
+    Walks for length m = n, n-1, ... and stops at the first sequence of that
+    length, so the walk calls back once, on the result.  When a length-n
+    sequence exists that is one walk; otherwise each shorter m walks the
+    tree again, at most n - len(result) more walks.  Raises ValueError, as
+    SearchSpec does, unless 1 <= n <= MAX_SEARCH_ORDER.
+    """
     spec = SearchSpec(n=n, prefix_ok=prefix_ok)
-    best: tuple[int, ...] = ()
-
-    def leaf(prefix: list) -> bool:
-        nonlocal best
-        if len(prefix) > len(best):
-            best = tuple(prefix)
-        return len(best) == n
-
-    _walk(spec.prefix_ok, spec.n, leaf, reach=1)
-    return best
+    found: list[tuple[int, ...]] = []
+    for reach in range(n, 0, -1):
+        _walk(spec.prefix_ok, n, lambda prefix: found.append(tuple(prefix)) or True, reach=reach)
+        if found:
+            return found[0]
+    return ()
 
 
 def _subtree(spec: SearchSpec, first: int | None = None):
@@ -235,14 +276,21 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     optimize -> (best value, Permutation witness) or None when nothing is
     accepted.
     """
-    n = spec.n
-    if spec.mode == "count" and isinstance(spec.prefix_ok, RowsRule):
+    n, rule = spec.n, spec.prefix_ok
+    if spec.mode == "count" and isinstance(rule, RowsRule):
         # complement symmetry, see the module docstring
-        half = sum(_subtree(spec, f) for f in range(1, n // 2 + 1))
-        return 2 * half + (_subtree(spec, n // 2 + 1) if n % 2 else 0)
-    result = _subtree(spec)
+        half = sum(_count_rows(rule, n, f) for f in range(1, n // 2 + 1))
+        return 2 * half + (_count_rows(rule, n, n // 2 + 1) if n % 2 else 0)
+    if spec.mode == "collect" and isinstance(rule, RowsRule):
+        # complement reverses lexicographic order, so the subtrees f > (n+1)/2
+        # are the first half's matches complemented, last first
+        half = [t for f in range(1, n // 2 + 1) for t in _subtree(spec, f)]
+        flip = (n + 1).__sub__
+        result = half + (_subtree(spec, n // 2 + 1) if n % 2 else []) + [tuple(map(flip, t)) for t in reversed(half)]
+    else:
+        result = _subtree(spec)
     if spec.mode == "collect":
-        return [Permutation(t) for t in result]
+        return [Permutation._of(t) for t in result]
     if spec.mode == "optimize" and result is not None:
         return result[0], Permutation(result[1])
     return result

@@ -291,6 +291,14 @@ def test_from_tree_errors():
         WeightedTree(0, ())
     with pytest.raises(InvalidTree, match=r"edge \(1, 2\) is not \(i, j, weight\)"):
         WeightedTree(2, ((1, 2),))
+    with pytest.raises(InvalidTree, match=r"edge \(1\.0, 2, 1\) has endpoints that are not both integers"):
+        WeightedTree(2, ((1.0, 2, 1),))
+    with pytest.raises(InvalidTree, match=r"edge \(1, 2\.0, 1\) has endpoints that are not both integers"):
+        WeightedTree(2, ((1, 2.0, 1),))
+    with pytest.raises(InvalidTree, match=r"vertex count must be an integer, got 2\.0"):
+        WeightedTree(2.0, ((1, 2, 1),))
+    with pytest.raises(InvalidTree, match="vertex count must be an integer, got '2'"):
+        WeightedTree('2', ())
     with pytest.raises(InconsistentTree):
         from_tree(WeightedTree(3, ((1, 2, 5), (2, 3, 1))))
 

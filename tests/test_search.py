@@ -213,16 +213,23 @@ def test_rows_rules_walk_as_their_wrapped_calls(n):
 
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
 def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
+    # RowsRule counts and collects walk first entries f <= n//2 and the odd
+    # middle, counts in _count_rows and collects in _subtree; every other
+    # search is one _subtree walk over the whole tree
     walked = []
-    subtree = search._subtree
+    count_rows, subtree = search._count_rows, search._subtree
+    monkeypatch.setattr(search, "_count_rows", lambda rule, n, f: walked.append(f) or count_rows(rule, n, f))
     monkeypatch.setattr(search, "_subtree", lambda spec, f=None: walked.append(f) or subtree(spec, f))
-    search.enumerate(SearchSpec(n=n, prefix_ok=costas_prefix_ok))
-    assert walked == firsts
+    for mode in ("count", "collect"):
+        walked.clear()
+        search.enumerate(SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode=mode))
+        assert walked == firsts
     unreduced = (
-        SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="collect"),
         SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="optimize", objective=weighted),
         SearchSpec(n=n, prefix_ok=convex_prefix_ok),
+        SearchSpec(n=n, prefix_ok=convex_prefix_ok, mode="collect"),
         SearchSpec(n=n, prefix_ok=lambda prefix: True),
+        SearchSpec(n=n, prefix_ok=lambda prefix: True, mode="collect"),
     )
     for spec in unreduced:
         walked.clear()
@@ -238,6 +245,24 @@ def test_search_does_not_import_costas():
 def test_costas_count_at_order_10_is_published_value():
     # OEIS A008404, past the costas count cap of 9
     assert search.enumerate(SearchSpec(n=10, prefix_ok=costas_prefix_ok)) == 2160
+
+
+def test_costas_count_at_order_11_is_published_value():
+    # OEIS A008404, past the n!-filter oracles' reach: about 1 s
+    assert search.enumerate(SearchSpec(n=11, prefix_ok=costas_prefix_ok)) == 4368
+
+
+@pytest.mark.slow
+def test_costas_count_at_order_12_is_published_value():
+    # OEIS A008404: about 5 s, run with pytest -m slow
+    assert search.enumerate(SearchSpec(n=12, prefix_ok=costas_prefix_ok)) == 7852
+
+
+@pytest.mark.slow
+def test_one_costas_count_at_order_12():
+    # the count the derivative-side walk of test_derivative_side_count.py
+    # also gives (in about 140 s): about 20 s, run with pytest -m slow
+    assert count_one_costas(12).count == 8_725_320
 
 
 def test_count_one_costas_known_rows():
@@ -289,6 +314,36 @@ def test_longest_prefix_rejects_orders_outside_the_walker_cap(n):
 
 def test_longest_prefix_at_the_walker_cap_is_a_permutation():
     assert search.longest_prefix(lambda prefix: True, 64) == tuple(range(1, 65))
+
+
+def naive_longest_prefix(n, prefix_ok):
+    """The first, in ascending order, of the longest sequences of distinct values from 1..n
+    whose every nonempty prefix prefix_ok accepts, by filtering all sequences of each length."""
+    for length in range(n, 0, -1):
+        for t in itertools.permutations(range(1, n + 1), length):
+            if all(prefix_ok(list(t[:i])) for i in range(1, length + 1)):
+                return t
+    return ()
+
+
+# Hereditary plain predicates whose longest accepted sequence is, from some
+# order on, shorter than n, so longest_prefix walks again for shorter lengths.
+SHORT_PREFIXES = {
+    "at-most-3": lambda prefix: len(prefix) <= 3,
+    "increasing-sum-at-most-7": lambda prefix: all(a < b for a, b in zip(prefix, prefix[1:])) and sum(prefix) <= 7,
+    "even-values": lambda prefix: prefix[-1] % 2 == 0,
+    "no-adjacent-neighbours-at-most-4": lambda prefix: len(prefix) <= 4 and all(
+        abs(a - b) > 1 for a, b in zip(prefix, prefix[1:])),
+    "one-costas-after-5": lambda prefix: prefix[0] >= 5 and naive_is_one_costas(prefix),
+    "none": lambda prefix: False,
+}
+
+
+@pytest.mark.parametrize("name", SHORT_PREFIXES)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_longest_prefix_shorter_than_n_matches_filter(n, name):
+    prefix_ok = SHORT_PREFIXES[name]
+    assert search.longest_prefix(prefix_ok, n) == naive_longest_prefix(n, prefix_ok)
 
 
 def test_table_bounds():
