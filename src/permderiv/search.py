@@ -10,24 +10,24 @@ search asks each walk for one sequence of a given length, n first, then n-1
 and so on, so it calls back once, on its result, not at every node.  Every
 walk runs in the calling thread.
 
+The shipped predicates are module-level and picklable; called on a prefix
+they judge it whole.  The walker is one bit recursion carrying a bitmask of
+used differences per difference-triangle row.  It never calls a RowsRule but
+tests its rows inline, so extending a prefix costs a few bit operations
+rather than a rescan; any other predicate, convex_prefix_ok included, has no
+rows to test and is called on the full prefix at each extension.
+
 RowsRule counts and collects walk half the tree.  Complement (v -> n+1-v)
 negates every difference, so it keeps each triangle row repeat-free or not
 and maps the accepted permutations starting with f onto those starting with
 n+1-f, reversing their lexicographic order.  A count is twice that of the
-subtrees f <= n//2, plus subtree n//2+1 when n is odd; each subtree is
-counted by _count_rows, the walker's bit recursion with no prefix list and
-no leaf calls.  A collect lists the same subtrees, then the first n//2 of
-them complemented and last first, which are subtrees n//2+1 (n even) or
-n//2+2 (n odd) to n in order.  Optimize walks the whole tree for its
-first-best witness, as its objective has no symmetry; convex (complement
-makes it concave) and other predicates are not reduced.
-
-The shipped predicates are rule objects, module-level and picklable; called
-on a prefix they judge it whole.  The walker does not call a RowsRule: it
-tests the rows inline, carrying a bitmask of used differences per
-difference-triangle row, so extending a prefix costs a few bit operations
-rather than a rescan.  Any other predicate, ConvexRule included, is called
-on the full prefix at each extension.
+subtrees f <= n//2, plus subtree n//2+1 when n is odd; both are counted by
+_count_rows, the walker's recursion with no prefix list and no leaf calls.
+A collect lists the same subtrees, then the first n//2 of them complemented
+and last first, which are subtrees n//2+1 (n even) or n//2+2 (n odd) to n
+in order.  Optimize walks the whole tree for its first-best witness, as its
+objective has no symmetry; convex (complement makes it concave) and other
+predicates are not reduced.
 
 SEARCHABLE is the one registry of searchable properties, each with its rule
 and order cap; `matches` counts or lists any of them, and the CLI's check
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import convexity, triangle
@@ -88,8 +87,8 @@ class CountRow(NamedTuple):
 
 
 def _fraction(count: int, total: int) -> float:
-    q = (Decimal(count) * 100 / Decimal(total)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-    return float(q)
+    """count / total as a percentage, rounded half up to one decimal."""
+    return (2000 * count + total) // (2 * total) / 10
 
 
 def check_k(k: int, n: int) -> None:
@@ -117,17 +116,13 @@ class RowsRule:
         return triangle.distinct_rows(prefix, len(prefix) if self.k is None else self.k)
 
 
-@dataclass(frozen=True)
-class ConvexRule:
+def convex_prefix_ok(prefix: Sequence[int]) -> bool:
     """Consecutive differences of the prefix are non-decreasing."""
-
-    def __call__(self, prefix: Sequence[int]) -> bool:
-        return all(prefix[i + 1] - prefix[i] <= prefix[i + 2] - prefix[i + 1] for i in range(len(prefix) - 2))
+    return all(prefix[i + 1] - prefix[i] <= prefix[i + 2] - prefix[i + 1] for i in range(len(prefix) - 2))
 
 
 one_costas_prefix_ok = RowsRule(1)
 costas_prefix_ok = RowsRule()
-convex_prefix_ok = ConvexRule()
 
 
 def k_costas_prefix_ok(k: int) -> RowsRule:
@@ -136,33 +131,24 @@ def k_costas_prefix_ok(k: int) -> RowsRule:
 
 
 def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[list], Any],
-          first: int | None = None, reach: int | None = None) -> None:
+          roots: int | None = None, reach: int | None = None) -> None:
     """Visit, depth-first in ascending order, the sequences of distinct values from 1..n
-    whose every nonempty prefix prefix_ok accepts, starting with first when it is given.
+    whose every nonempty prefix prefix_ok accepts and whose first value is a bit of
+    roots (bit v for value v; every value when roots is None).
 
     leaf(prefix) is called on each visited sequence of length at least reach
     (default n: the permutations), with the walker's own list; a true return
-    ends the walk.  A RowsRule is tested inline (see its docstring); any other
-    predicate is called on the walker's list with the candidate appended.
+    ends the walk.  One recursion serves every predicate: a RowsRule is tested
+    inline (see its docstring) and never called; any other one has no rows to
+    test (keep is 0) and is called on the walker's list, candidate appended.
     """
     reach = n if reach is None else reach
     prefix: list[int] = []
     append, pop = prefix.append, prefix.pop
+    width, keep = _row_layout(prefix_ok, n)
+    call = None if isinstance(prefix_ok, RowsRule) else prefix_ok
 
-    def visit(free: int, choices: int) -> bool:
-        if len(prefix) >= reach and leaf(prefix):
-            return True
-        while choices:
-            low = choices & -choices
-            choices ^= low
-            append(low.bit_length() - 1)
-            rest = free ^ low
-            if prefix_ok(prefix) and visit(rest, rest):
-                return True
-            pop()
-        return False
-
-    def visit_rows(used: int, tails: int, free: int, choices: int) -> bool:
+    def visit(used: int, tails: int, free: int, choices: int) -> bool:
         if len(prefix) >= reach and leaf(prefix):
             return True
         while choices:
@@ -175,32 +161,31 @@ def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[li
             append(v)
             rest = free ^ low
             new |= used
-            if visit_rows(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)):
+            if (call is None or call(prefix)) and visit(
+                    new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)):
                 return True
             pop()
         return False
 
     values = (1 << n + 1) - 2
-    choices = values if first is None else 1 << first
-    if isinstance(prefix_ok, RowsRule):
-        width, keep = _row_layout(prefix_ok, n)
-        visit_rows(0, 0, values, choices)
-    else:
-        visit(values, choices)
+    visit(0, 0, values, values if roots is None else roots)
 
 
-def _row_layout(rule: RowsRule, n: int) -> tuple[int, int]:
-    """The row width of the walker's bitmasks for order n, and the mask of the rows rule checks."""
+def _row_layout(rule: Callable[[Sequence[int]], bool], n: int) -> tuple[int, int]:
+    """The walker's bitmask row width for order n, and the mask of the rows rule checks (0 unless a RowsRule)."""
+    rows = 0
+    if isinstance(rule, RowsRule):
+        rows = n if rule.k is None else max(0, min(rule.k, n))
     width = 2 * n
-    return width, (1 << width * (n if rule.k is None else max(0, min(rule.k, n)))) - 1
+    return width, (1 << width * rows) - 1
 
 
-def _count_rows(rule: RowsRule, n: int, first: int) -> int:
-    """The number of order-n permutations starting with first that rule accepts.
+def _count_rows(rule: RowsRule, n: int, roots: int) -> int:
+    """The number of order-n permutations rule accepts whose first value is a bit of roots.
 
-    The bit recursion of _walk's RowsRule branch, keeping no prefix and
-    calling no leaf: each call returns its subtree's count, and a call with
-    one free value left answers with one bit test.
+    _walk's recursion keeping no prefix and calling no leaf: each call returns
+    its subtree's count, and a call with one free value left answers with one
+    bit test.
     """
     width, keep = _row_layout(rule, n)
 
@@ -220,7 +205,7 @@ def _count_rows(rule: RowsRule, n: int, first: int) -> int:
             total += count(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v))
         return total
 
-    return count(0, 0, (1 << n + 1) - 2, 1 << first)
+    return count(0, 0, (1 << n + 1) - 2, roots)
 
 
 def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
@@ -242,8 +227,8 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     return ()
 
 
-def _subtree(spec: SearchSpec, first: int | None = None):
-    """The mode's result over the accepted permutations that start with first, or over all."""
+def _subtree(spec: SearchSpec, roots: int | None = None):
+    """The mode's result over the accepted permutations whose first value is a bit of roots, or all."""
     mode = spec.mode
     better = operator.gt if spec.direction == "max" else operator.lt
     count = 0
@@ -261,7 +246,7 @@ def _subtree(spec: SearchSpec, first: int | None = None):
             if not found or better(value, found[0][0]):
                 found[:] = [(value, full)]
 
-    _walk(spec.prefix_ok, spec.n, leaf, first=first)
+    _walk(spec.prefix_ok, spec.n, leaf, roots=roots)
     if mode == "count":
         return count
     return found if mode == "collect" else (found[0] if found else None)
@@ -277,16 +262,17 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     accepted.
     """
     n, rule = spec.n, spec.prefix_ok
+    # complement symmetry, see the module docstring: first values 1..n//2,
+    # and the middle one when n is odd
+    low, middle = (1 << n // 2 + 1) - 2, 1 << n // 2 + 1 if n % 2 else 0
     if spec.mode == "count" and isinstance(rule, RowsRule):
-        # complement symmetry, see the module docstring
-        half = sum(_count_rows(rule, n, f) for f in range(1, n // 2 + 1))
-        return 2 * half + (_count_rows(rule, n, n // 2 + 1) if n % 2 else 0)
+        return 2 * _count_rows(rule, n, low) + _count_rows(rule, n, middle)
     if spec.mode == "collect" and isinstance(rule, RowsRule):
         # complement reverses lexicographic order, so the subtrees f > (n+1)/2
         # are the first half's matches complemented, last first
-        half = [t for f in range(1, n // 2 + 1) for t in _subtree(spec, f)]
+        half = _subtree(spec, low)
         flip = (n + 1).__sub__
-        result = half + (_subtree(spec, n // 2 + 1) if n % 2 else []) + [tuple(map(flip, t)) for t in reversed(half)]
+        result = half + _subtree(spec, middle) + [tuple(map(flip, t)) for t in reversed(half)]
     else:
         result = _subtree(spec)
     if spec.mode == "collect":
@@ -358,7 +344,7 @@ def matches(text: str, n: int, collect: bool = False):
     collect, their list in ascending order.  ValueError first for a bad name, order (1..cap, at
     most list_cap for a list) or K.  Convex uses convexity.enumerate_convex (walked: 11 s at order 18)."""
     prop = _checked(text, n, collect)
-    if isinstance(prop.rule, ConvexRule):
+    if prop.rule is convex_prefix_ok:
         found = sorted(convexity.enumerate_convex(n), key=lambda p: p.entries)
         return found if collect else len(found)
     return enumerate(SearchSpec(n=n, prefix_ok=prop.rule, mode="collect" if collect else "count"))

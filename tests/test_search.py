@@ -215,15 +215,21 @@ def test_rows_rules_walk_as_their_wrapped_calls(n):
 def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
     # RowsRule counts and collects walk first entries f <= n//2 and the odd
     # middle, counts in _count_rows and collects in _subtree; every other
-    # search is one _subtree walk over the whole tree
+    # search is one _subtree walk over the whole tree (root mask None)
     walked = []
     count_rows, subtree = search._count_rows, search._subtree
-    monkeypatch.setattr(search, "_count_rows", lambda rule, n, f: walked.append(f) or count_rows(rule, n, f))
-    monkeypatch.setattr(search, "_subtree", lambda spec, f=None: walked.append(f) or subtree(spec, f))
+    monkeypatch.setattr(search, "_count_rows", lambda rule, n, roots: walked.append(roots) or count_rows(rule, n, roots))
+    monkeypatch.setattr(search, "_subtree", lambda spec, roots=None: walked.append(roots) or subtree(spec, roots))
+
+    def first_values():
+        # the first values each recorded root mask allows, None for the whole tree
+        return [f for roots in walked
+                for f in ([None] if roots is None else [v for v in range(1, n + 1) if roots >> v & 1])]
+
     for mode in ("count", "collect"):
         walked.clear()
         search.enumerate(SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode=mode))
-        assert walked == firsts
+        assert first_values() == firsts
     unreduced = (
         SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="optimize", objective=weighted),
         SearchSpec(n=n, prefix_ok=convex_prefix_ok),
@@ -234,7 +240,7 @@ def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, first
     for spec in unreduced:
         walked.clear()
         search.enumerate(spec)
-        assert walked == [None]
+        assert first_values() == [None]
 
 
 def test_search_does_not_import_costas():
@@ -276,7 +282,9 @@ def test_count_one_costas_known_rows():
 
 
 def test_fraction_rounding_is_half_up():
-    assert search._fraction(1, 160) == 0.6   # 0.625 rounds up
+    assert search._fraction(1, 160) == 0.6   # 0.625 is below the tie 0.65
+    assert search._fraction(1, 16) == 6.3    # 6.25 is a tie; round() gives 6.2
+    assert search._fraction(5, 16) == 31.3   # 31.25 is a tie; round() gives 31.2
     assert search._fraction(4, 6) == 66.7
     assert search._fraction(44, 120) == 36.7
     assert search._fraction(1, 3) == 33.3
@@ -403,3 +411,19 @@ def test_plain_callable_sees_the_naive_walks_prefixes(mode):
     spec = SearchSpec(n=6, prefix_ok=recorded, mode=mode, objective=weighted)
     search.enumerate(spec)
     assert calls == naive_walk_calls(6, naive_is_one_costas)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_longest_prefix_stops_at_the_first_permutation(n):
+    # reach n: the walk hands a plain callable the naive walk's prefixes up to
+    # and including the first accepted length-n one, then stops
+    calls = []
+
+    def recorded(prefix):
+        calls.append(tuple(prefix))
+        return naive_is_one_costas(prefix)
+
+    naive = naive_walk_calls(n, naive_is_one_costas)
+    stop = next(i for i, t in enumerate(naive) if len(t) == n and naive_is_one_costas(t))
+    assert search.longest_prefix(recorded, n) == naive[stop]
+    assert calls == naive[: stop + 1]
