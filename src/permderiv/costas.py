@@ -184,7 +184,7 @@ def reverse_second_half(p: Permutation) -> Permutation:
     if n % 2:
         raise ValueError(f"order must be even, got {n}")
     half = n // 2
-    return Permutation(p.entries[:half] + p.entries[:half - 1:-1])
+    return Permutation._of(p.entries[:half] + p.entries[:half - 1:-1])
 
 
 def is_costas_signed(s: SignedPermutation) -> bool:

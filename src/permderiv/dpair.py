@@ -8,7 +8,9 @@ inverse permutation realizes the modular-inverse pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
+from operator import add
 
 from .perm_core import Permutation, check_order, derivative
 
@@ -84,9 +86,9 @@ def construct_dpair(a: int, b: int) -> Permutation:
     """
     _check_steps(a, b)
     if a == 1:
-        return Permutation(tuple(range(2, b + 2)) + (1,))
+        return Permutation._of((*range(2, b + 2), 1))
     n = a + b
-    return Permutation(tuple((i * a) % n + 1 for i in range(n)))
+    return Permutation._of(tuple(map(add, map(n.__rmod__, range(0, n * a, a)), repeat(1))))
 
 
 def inverse_dpair(a: int, b: int) -> DPair:

@@ -27,8 +27,29 @@ from an already-checked object is wrapped unchecked, through the private
   integers spanning n-1; the shift puts the least at 1, so they are exactly
   {1..n}.
 
-Everything else that builds a permutation goes through the checking
-constructor.
+The constructions take an order checked by ``check_order`` (and their own
+parameters) and are permutations by proof, which the tests check for every
+order up to a few hundred and at orders near MAX_ORDER:
+
+- ``identity``, ``anti_identity``: ``range(1, n+1)`` in either direction;
+- ``realize_shift``: s+1, then 1..s, then s+2..n, which is 1..n cut in three;
+- ``variation.construct_max_global``: k = n//2, then k+2..n interleaved with
+  1..k-1, then k+1;
+- ``variation.pi_perm``: s = (k+1)//2, then s+1..k interleaved with s-1..1;
+- ``variation.construct_min_local_1costas``: a ``pi_perm`` block of order k
+  and a block of order n-k shifted or mirrored onto the other k or n-k
+  values;
+- ``variation.construct_maximin_abs``: n//2+1..n interleaved with 1..n//2,
+  with a leading 1 and every other value raised by one when n is odd;
+- ``dpair.construct_dpair``: for a = 1, 2..b+1 and then 1; for a >= 2,
+  1 + (i*a mod n) for i < n, which is one-to-one because a is coprime to
+  n = a+b;
+- ``costas.reverse_second_half``: the same entries in another order;
+- the optimize witness of ``search.enumerate``: the walker only emits n
+  distinct values of 1..n.
+
+Everything else that builds a permutation (``from_tree`` included) goes
+through the checking constructor.
 """
 from __future__ import annotations
 
@@ -242,6 +263,16 @@ def _all_ints(z: tuple) -> bool:
     return all(map(isinstance, z, repeat(int)))
 
 
+def _running_sums(z: tuple[int, ...]) -> tuple[list[int], int | None]:
+    """The running sums of z from 0, and their least if they are consecutive, else None.
+
+    The span test runs first, so most sequences that fail it build no set.
+    """
+    values = list(accumulate(z, initial=0))
+    n, low = len(values), min(values)
+    return values, low if max(values) - low == n - 1 and len(set(values)) == n else None
+
+
 def is_realizable(z: Iterable[int]) -> bool:
     """True iff z is the derivative of some permutation.
 
@@ -250,11 +281,7 @@ def is_realizable(z: Iterable[int]) -> bool:
     ``integrate`` succeeds at orders up to MAX_ORDER.
     """
     z = tuple(z)
-    if not _all_ints(z):
-        return False
-    sums = sum_characteristic(z)
-    n = len(z) + 1
-    return len(sums) == n and max(sums) - min(sums) == n - 1
+    return _all_ints(z) and _running_sums(z)[1] is not None
 
 
 def integrate(z: Iterable[int]) -> Permutation:
@@ -274,9 +301,8 @@ def integrate(z: Iterable[int]) -> Permutation:
     if not _all_ints(z):
         bad = next(x for x in z if not isinstance(x, int))
         raise NotRealizable(f"derivative entry {bad!r} is not an integer")
-    values = list(accumulate(z, initial=0))
-    low = min(values)
-    if max(values) - low != n - 1 or len(set(values)) != n:
+    values, low = _running_sums(z)
+    if low is None:
         seen: set[int] = set()  # find the first entry j whose running sum repeats or spans too far
         for j, (v, lo, hi) in enumerate(zip(values, accumulate(values, min), accumulate(values, max))):
             if v in seen or hi - lo >= n:
@@ -296,7 +322,7 @@ def realize_shift(n: int, s: int) -> Permutation:
     check_order(n)
     if not 0 <= s <= n - 1:
         raise ValueError(f"shift must be between 0 and {n - 1}, got {s}")
-    return Permutation((s + 1,) + tuple(range(1, s + 1)) + tuple(range(s + 2, n + 1)))
+    return Permutation._of((s + 1, *range(1, s + 1), *range(s + 2, n + 1)))
 
 
 def from_tree(tree: WeightedTree) -> Permutation:
@@ -315,11 +341,13 @@ def from_tree(tree: WeightedTree) -> Permutation:
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+    check_order(n)
+    return Permutation._of(tuple(range(1, n + 1)))
 
 
 def anti_identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n, 0, -1)))
+    check_order(n)
+    return Permutation._of(tuple(range(n, 0, -1)))
 
 
 def reverse(p: Permutation) -> Permutation:

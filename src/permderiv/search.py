@@ -278,7 +278,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     if spec.mode == "collect":
         return [Permutation._of(t) for t in result]
     if spec.mode == "optimize" and result is not None:
-        return result[0], Permutation(result[1])
+        return result[0], Permutation._of(result[1])
     return result
 
 

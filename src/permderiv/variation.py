@@ -10,17 +10,32 @@ derivative entry.
 """
 from __future__ import annotations
 
-from .perm_core import Permutation, check_order, derivative, rotate90
+from itertools import chain, islice
+from operator import sub
+from typing import Iterator
+
+from .perm_core import Permutation, check_order, rotate90
+
+
+def _steps(p: Permutation) -> Iterator[int]:
+    """The consecutive differences of p, streamed rather than stored."""
+    e = p.entries
+    return map(sub, islice(e, 1, None), e)
+
+
+def _interleave(first: range, second: range) -> tuple[int, ...]:
+    """first[0], second[0], first[1], second[1], ..., then the rest of first."""
+    return (*chain.from_iterable(zip(first, second)), *first[len(second):])
 
 
 def local_variation(p: Permutation) -> int:
     """Largest |consecutive difference|; 0 at order 1 by convention."""
-    return max(map(abs, derivative(p).diffs), default=0)
+    return max(map(abs, _steps(p)), default=0)
 
 
 def global_variation(p: Permutation) -> int:
     """Sum of |consecutive differences| (the l1 norm of the derivative)."""
-    return sum(map(abs, derivative(p).diffs))
+    return sum(map(abs, _steps(p)))
 
 
 def is_lipschitz(p: Permutation, bound: int) -> bool:
@@ -72,19 +87,7 @@ def construct_max_global(n: int) -> Permutation:
     """
     check_order(n, 2)
     k = n // 2
-    out = [k]
-    high, low = k + 2, 1
-    take_high = True
-    while high <= n or low <= k - 1:
-        if take_high and high <= n:
-            out.append(high)
-            high += 1
-        elif not take_high and low <= k - 1:
-            out.append(low)
-            low += 1
-        take_high = not take_high
-    out.append(k + 1)
-    return Permutation(tuple(out))
+    return Permutation._of((k, *_interleave(range(k + 2, n + 1), range(1, k)), k + 1))
 
 
 def pi_perm(k: int) -> Permutation:
@@ -96,20 +99,8 @@ def pi_perm(k: int) -> Permutation:
     (3, 4, 2, 5, 1)
     """
     check_order(k)
-    if k % 2 == 0:
-        mid = k // 2
-        out = [mid]
-        for j in range(1, mid + 1):
-            out.append(mid + j)
-            if j < mid:
-                out.append(mid - j)
-    else:
-        mid = (k - 1) // 2
-        out = [mid + 1]
-        for j in range(1, mid + 1):
-            out.append(mid + 1 + j)
-            out.append(mid + 1 - j)
-    return Permutation(tuple(out))
+    s = (k + 1) // 2
+    return Permutation._of((s, *_interleave(range(s + 1, k + 1), range(s - 1, 0, -1))))
 
 
 def pi_star(k: int) -> Permutation:
@@ -131,17 +122,17 @@ def construct_min_local_1costas(n: int) -> Permutation:
     if n % 2 == 0:
         block = pi_perm(k).entries
         top = block
-        bottom = tuple(k + v for v in reversed(block))
+        bottom = map(k.__add__, reversed(block))
     else:
         upper = pi_perm(k + 1).entries
         lower = pi_perm(k).entries
         if k % 2 == 0:
-            top = tuple(k + v for v in reversed(upper))
+            top = map(k.__add__, reversed(upper))
             bottom = lower
         else:
-            top = tuple(k + (k + 2 - v) for v in reversed(upper))
-            bottom = tuple(k + 1 - v for v in lower)
-    return Permutation(top + bottom)
+            top = map((2 * k + 2).__sub__, reversed(upper))
+            bottom = map((k + 1).__sub__, lower)
+    return Permutation._of((*top, *bottom))
 
 
 def min_global_1costas(n: int) -> int:
@@ -170,15 +161,10 @@ def construct_maximin_abs(n: int) -> Permutation:
     (4, 1, 5, 2, 6, 3)
     """
     check_order(n, 2)
-    if n % 2 == 0:
-        k = n // 2
-        out = []
-        for j in range(1, k + 1):
-            out.append(k + j)
-            out.append(j)
-        return Permutation(tuple(out))
-    inner = construct_maximin_abs(n - 1)
-    return Permutation((1,) + tuple(v + 1 for v in inner.entries))
+    k = n // 2
+    lift = n % 2
+    pairs = zip(range(k + 1 + lift, n + 1), range(1 + lift, k + 1 + lift))
+    return Permutation._of((1,) * lift + tuple(chain.from_iterable(pairs)))
 
 
 # Alternative odd-order closed forms in circulation that disagree with the

@@ -96,6 +96,8 @@ ORDER_CHECKED = [
     ("Permutation", lambda n: Permutation(tuple(range(1, n + 1))), 1),
     ("integrate", lambda n: integrate((1,) * (n - 1)), 1),
     ("realize_shift", lambda n: realize_shift(n, 0), 1),
+    ("identity", identity, 1),
+    ("anti_identity", anti_identity, 1),
     ("pi_perm", variation.pi_perm, 1),
     ("pi_star", variation.pi_star, 1),
     *((f.__name__, f, 2) for f in (
@@ -230,6 +232,23 @@ def test_realizable_agrees_with_integrate(n):
         except NotRealizable:
             succeeded = False
         assert ok == succeeded
+
+
+def test_realizable_agrees_with_integrate_on_every_short_sequence():
+    # every z in {-4..4}^k, k <= 4, and each with one entry that is not an int
+    for k in range(5):
+        for z in itertools.product(range(-4, 5), repeat=k):
+            try:
+                integrate(z)
+                succeeded = True
+            except NotRealizable:
+                succeeded = False
+            assert is_realizable(z) == succeeded, z
+            for j, bad in itertools.product(range(k), (1.0, "1", None)):
+                spoiled = z[:j] + (bad,) + z[j + 1:]
+                assert not is_realizable(spoiled)
+                with pytest.raises(NotRealizable, match="is not an integer"):
+                    integrate(spoiled)
 
 
 def test_realize_shift_examples():
