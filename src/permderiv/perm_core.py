@@ -27,26 +27,21 @@ from an already-checked object is wrapped unchecked, through the private
   integers spanning n-1; the shift puts the least at 1, so they are exactly
   {1..n}.
 
-The constructions take an order checked by ``check_order`` (and their own
-parameters) and are permutations by proof, which the tests check for every
-order up to a few hundred and at orders near MAX_ORDER:
+Each construction checks its order (and parameters) and is then a
+permutation by proof, which the tests check at every order up to 300 and
+next to MAX_ORDER:
 
-- ``identity``, ``anti_identity``: ``range(1, n+1)`` in either direction;
-- ``realize_shift``: s+1, then 1..s, then s+2..n, which is 1..n cut in three;
-- ``variation.construct_max_global``: k = n//2, then k+2..n interleaved with
-  1..k-1, then k+1;
-- ``variation.pi_perm``: s = (k+1)//2, then s+1..k interleaved with s-1..1;
-- ``variation.construct_min_local_1costas``: a ``pi_perm`` block of order k
-  and a block of order n-k shifted or mirrored onto the other k or n-k
-  values;
-- ``variation.construct_maximin_abs``: n//2+1..n interleaved with 1..n//2,
-  with a leading 1 and every other value raised by one when n is odd;
-- ``dpair.construct_dpair``: for a = 1, 2..b+1 and then 1; for a >= 2,
-  1 + (i*a mod n) for i < n, which is one-to-one because a is coprime to
-  n = a+b;
+- ``identity``, ``anti_identity``: ``range(1, n+1)``, forwards or backwards;
+- ``realize_shift``: s+1, then 1..s, then s+2..n;
+- ``construct_max_global``: k = n//2, then k+2..n interleaved with 1..k-1, then k+1;
+- ``pi_perm``: s = (k+1)//2, then s+1..k interleaved with s-1..1;
+- ``construct_min_local_1costas``: ``pi_perm`` blocks of orders k and n-k sent onto 1..k and
+  k+1..n by v -> c+v or v -> c-v;
+- ``construct_maximin_abs``: 1 if n is odd, then the high and low halves of the other values
+  interleaved;
+- ``construct_dpair``: 2..b+1 then 1, or 1 + (i*a mod a+b), one-to-one as gcd(a, a+b) = 1;
 - ``costas.reverse_second_half``: the same entries in another order;
-- the optimize witness of ``search.enumerate``: the walker only emits n
-  distinct values of 1..n.
+- the optimize witness of ``search.enumerate``: the walker emits n distinct values of 1..n.
 
 Everything else that builds a permutation (``from_tree`` included) goes
 through the checking constructor.

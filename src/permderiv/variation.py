@@ -23,9 +23,9 @@ def _steps(p: Permutation) -> Iterator[int]:
     return map(sub, islice(e, 1, None), e)
 
 
-def _interleave(first: range, second: range) -> tuple[int, ...]:
+def _interleave(first: range, second: range) -> Iterator[int]:
     """first[0], second[0], first[1], second[1], ..., then the rest of first."""
-    return (*chain.from_iterable(zip(first, second)), *first[len(second):])
+    return chain(chain.from_iterable(zip(first, second)), first[len(second):])
 
 
 def local_variation(p: Permutation) -> int:
