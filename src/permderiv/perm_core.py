@@ -27,9 +27,8 @@ from an already-checked object is wrapped unchecked, through the private
   integers spanning n-1; the shift puts the least at 1, so they are exactly
   {1..n}.
 
-Each construction checks its order (and parameters) and is then a
-permutation by proof, which the tests check at every order up to 300 and
-next to MAX_ORDER:
+Each construction checks its inputs and is then a permutation by proof,
+which the tests check at every order up to 300 and next to MAX_ORDER:
 
 - ``identity``, ``anti_identity``: ``range(1, n+1)``, forwards or backwards;
 - ``realize_shift``: s+1, then 1..s, then s+2..n;
