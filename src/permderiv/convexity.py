@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .perm_core import Permutation, check_order, derivative, inverse, reverse
+from .perm_core import Permutation, _all_ints, check_order, inverse, reverse
 from .variation import pi_star
 
 MAX_CONVEX_ORDER = 512  # enumerate_convex recurses once per column: about 0.4 s at the cap, CPython 3.11
@@ -45,7 +45,7 @@ class PartialColumnFill:
         rows = self.rows_by_column
         if not 0 < len(rows) <= self.n:
             raise ValueError(f"need between 1 and {self.n} filled columns, got {len(rows)}")
-        if len(set(rows)) != len(rows) or not all(1 <= r <= self.n for r in rows):
+        if not _all_ints(rows) or len(set(rows)) != len(rows) or not all(1 <= r <= self.n for r in rows):
             raise ValueError(f"rows {rows} are not distinct rows in 1..{self.n}")
 
     @property
@@ -53,10 +53,14 @@ class PartialColumnFill:
         return len(self.rows_by_column)
 
 
+def convex_prefix_ok(values: Sequence[int]) -> bool:
+    """True iff the consecutive differences of values are non-decreasing (vacuous for fewer than 3)."""
+    return all(values[i + 1] - values[i] <= values[i + 2] - values[i + 1] for i in range(len(values) - 2))
+
+
 def is_convex(p: Permutation) -> bool:
     """True iff consecutive differences are non-decreasing (vacuous for n <= 2)."""
-    d = derivative(p).diffs
-    return all(d[i] <= d[i + 1] for i in range(len(d) - 1))
+    return convex_prefix_ok(p.entries)
 
 
 def interval_rows(state: PartialColumnFill) -> frozenset[int]:
@@ -76,8 +80,7 @@ def is_k_convex(state: PartialColumnFill) -> bool:
     if high - low + 1 != len(rows):
         return False
     columns = {row: c + 1 for c, row in enumerate(rows)}
-    diffs = [columns[r + 1] - columns[r] for r in range(low, high)]
-    return all(diffs[i] <= diffs[i + 1] for i in range(len(diffs) - 1))
+    return convex_prefix_ok([columns[r] for r in range(low, high + 1)])
 
 
 def extension_rows(state: PartialColumnFill) -> frozenset[int]:
@@ -123,7 +126,7 @@ def algorithm1(n: int, chooser: Callable[[Sequence[int]], int]) -> Permutation |
         if choice not in candidates:
             raise ValueError(f"chooser returned {choice!r}, not one of {candidates}")
         state = PartialColumnFill(n, state.rows_by_column + (choice,))
-    return inverse(Permutation(state.rows_by_column))
+    return inverse(Permutation._of(state.rows_by_column))
 
 
 def enumerate_convex(n: int) -> frozenset[Permutation]:
@@ -139,7 +142,7 @@ def enumerate_convex(n: int) -> frozenset[Permutation]:
     def grow(low: int, high: int, first: int, last: int) -> None:
         c = high - low + 2  # the next column
         if c > n:
-            results.append(Permutation(tuple(col[1:])))
+            results.append(Permutation._of(tuple(col[1:])))
             return
         if low > 1 and col[low] - c <= first:
             col[low - 1] = c
@@ -166,7 +169,7 @@ def classify_convex(n: int) -> frozenset[Permutation]:
 
     def add(entries: tuple[int, ...]) -> None:
         if sorted(entries) == list(range(1, n + 1)):
-            p = Permutation(entries)
+            p = Permutation._of(entries)
             members.add(p)
             members.add(reverse(p))
 

@@ -11,10 +11,11 @@ centrosymmetric, signed, subpermutation and half-permutation forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Sequence
 
 from . import search, triangle
-from .perm_core import Permutation
+from .perm_core import Permutation, _all_ints
 
 Point = tuple[int, int]
 PointPair = tuple[Point, Point]
@@ -50,7 +51,7 @@ class BuilderState:
         if not prefix:
             raise ValueError("prefix must contain at least the first-row choice")
         columns = set(prefix)
-        if len(columns) != len(prefix) or not all(1 <= c <= self.n for c in prefix):
+        if not _all_ints(prefix) or len(columns) != len(prefix) or not all(1 <= c <= self.n for c in prefix):
             raise ValueError(f"prefix {prefix} is not distinct columns in 1..{self.n}")
         diffs = [prefix[i + 1] - prefix[i] for i in range(len(prefix) - 1)]
         if len(set(diffs)) != len(diffs):
@@ -156,26 +157,14 @@ def is_centrosymmetric(p: Permutation) -> bool:
 def is_costas_centrosymmetric(p: Permutation) -> bool:
     """Centrosymmetric with no triangle repeats beyond the forced mirror ones.
 
-    Centrosymmetry forces each difference at (i, j) to reappear at
-    (n+1-j, n+1-i), so only one representative per mirror pair is examined:
-    the differences p[j] - p[i] with 1 <= i < j <= n+1-i must be distinct
-    within each row.
+    Centrosymmetry forces entry i of row k to equal entry n-k+1-i, so the
+    row's n-k entries fall into (n-k+1)//2 mirror pairs (one unpaired middle
+    entry when n-k is odd); the row has no other repeat exactly when it holds
+    that many distinct values.
     """
-    if not is_centrosymmetric(p):
-        return False
     e = p.entries
     n = p.n
-    for k in range(1, n):
-        seen = set()
-        for i in range(1, n - k + 1):
-            j = i + k
-            if j > n + 1 - i:
-                break
-            d = e[j - 1] - e[i - 1]
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
+    return is_centrosymmetric(p) and all(len(set(map(sub, e[k:], e))) == (n - k + 1) // 2 for k in range(1, n))
 
 
 def reverse_second_half(p: Permutation) -> Permutation:
@@ -195,7 +184,7 @@ def is_costas_signed(s: SignedPermutation) -> bool:
 def is_costas_subpermutation(values: Sequence[int], n: int) -> bool:
     """Distinct values from {1..n} whose difference triangle has no row repeats."""
     values = tuple(values)
-    if not values or len(set(values)) != len(values):
+    if not values or not _all_ints(values) or len(set(values)) != len(values):
         return False
     if not all(1 <= v <= n for v in values):
         return False
@@ -205,10 +194,7 @@ def is_costas_subpermutation(values: Sequence[int], n: int) -> bool:
 def is_costas_half(values: Sequence[int], m: int) -> bool:
     """A Costas m-subpermutation of order 2m taking one value per pair {i, 2m+1-i}."""
     values = tuple(values)
-    if len(values) != m:
-        return False
-    pairs = {min(v, 2 * m + 1 - v) for v in values if 1 <= v <= 2 * m}
-    if len(pairs) != m or len(set(values)) != m:
+    if len(values) != m or len({min(v, 2 * m + 1 - v) for v in values}) != m:
         return False
     return is_costas_subpermutation(values, 2 * m)
 

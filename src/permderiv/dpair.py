@@ -12,7 +12,7 @@ from itertools import repeat
 from math import gcd
 from operator import add
 
-from .perm_core import Permutation, check_order, derivative
+from .perm_core import Permutation, _all_ints, check_order, derivative
 
 
 class NotCoprime(ValueError):
@@ -66,8 +66,8 @@ def is_feasible_dpair(pair: DPair) -> bool:
 
 
 def _check_steps(a: int, b: int) -> None:
-    """Raise unless 1 <= a < b, a and b are coprime and a+b <= MAX_ORDER."""
-    if a < 1 or b < 1 or a >= b:
+    """Raise unless a and b are integers with 1 <= a < b, coprime, and a+b <= MAX_ORDER."""
+    if not _all_ints((a, b)) or a < 1 or b < 1 or a >= b:
         raise NotStrictlyOrdered(f"need 1 <= a < b, got a={a}, b={b}")
     if gcd(a, b) != 1:
         raise NotCoprime(f"a={a} and b={b} share factor {gcd(a, b)}")

@@ -24,8 +24,8 @@ from an already-checked object is wrapped unchecked, through the private
 - ``integrate``: only after its own checks, that the order n (one more than
   the input's length) is at most MAX_ORDER, as the constructor requires,
   that every input is an ``int``, and that the running sums are n distinct
-  integers spanning n-1; the shift puts the least at 1, so they are exactly
-  {1..n}.
+  integers spanning n-1 (``_least_if_consecutive``); the shift puts the least
+  at 1, so they are exactly {1..n}.
 
 Each construction checks its inputs and is then a permutation by proof,
 which the tests check at every order up to 300 and next to MAX_ORDER:
@@ -42,8 +42,14 @@ which the tests check at every order up to 300 and next to MAX_ORDER:
 - ``costas.reverse_second_half``: the same entries in another order;
 - the optimize witness of ``search.enumerate``: the walker emits n distinct values of 1..n.
 
-Everything else that builds a permutation (``from_tree`` included) goes
-through the checking constructor.
+These are built by proof too; their tests compare them with oracles at small orders:
+
+- ``from_tree``: its propagated values pass ``integrate``'s running-sum test, then ``check_order(n)``;
+- ``convexity.enumerate_convex``, ``convexity.algorithm1``: a grown fill sets each row of 1..n
+  once, and a ``PartialColumnFill`` with k = n holds n distinct rows of 1..n;
+- ``convexity.classify_convex``: the family members that sort to 1..n.
+
+Everything else that builds a permutation goes through the checking constructor.
 """
 from __future__ import annotations
 
@@ -95,7 +101,7 @@ def format_int_sequence(values: Iterable[int]) -> str:
 
 def check_order(n: int, minimum: int = 1) -> None:
     """Raise ValueError unless minimum <= n <= MAX_ORDER."""
-    if not minimum <= n <= MAX_ORDER:
+    if not isinstance(n, int) or not minimum <= n <= MAX_ORDER:
         raise ValueError(f"order must be between {minimum} and {MAX_ORDER}, got {n}")
 
 
@@ -257,14 +263,14 @@ def _all_ints(z: tuple) -> bool:
     return all(map(isinstance, z, repeat(int)))
 
 
-def _running_sums(z: tuple[int, ...]) -> tuple[list[int], int | None]:
-    """The running sums of z from 0, and their least if they are consecutive, else None.
+def _least_if_consecutive(values: list[int]) -> int | None:
+    """The least of values if they are len(values) consecutive integers, else None.
 
-    The span test runs first, so most sequences that fail it build no set.
+    Shifted by 1 minus that least they are exactly 1..n.  The span test runs
+    first, so most sequences that fail it build no set.
     """
-    values = list(accumulate(z, initial=0))
     n, low = len(values), min(values)
-    return values, low if max(values) - low == n - 1 and len(set(values)) == n else None
+    return low if max(values) - low == n - 1 and len(set(values)) == n else None
 
 
 def is_realizable(z: Iterable[int]) -> bool:
@@ -275,7 +281,7 @@ def is_realizable(z: Iterable[int]) -> bool:
     ``integrate`` succeeds at orders up to MAX_ORDER.
     """
     z = tuple(z)
-    return _all_ints(z) and _running_sums(z)[1] is not None
+    return _all_ints(z) and _least_if_consecutive(list(accumulate(z, initial=0))) is not None
 
 
 def integrate(z: Iterable[int]) -> Permutation:
@@ -295,7 +301,8 @@ def integrate(z: Iterable[int]) -> Permutation:
     if not _all_ints(z):
         bad = next(x for x in z if not isinstance(x, int))
         raise NotRealizable(f"derivative entry {bad!r} is not an integer")
-    values, low = _running_sums(z)
+    values = list(accumulate(z, initial=0))
+    low = _least_if_consecutive(values)
     if low is None:
         seen: set[int] = set()  # find the first entry j whose running sum repeats or spans too far
         for j, (v, lo, hi) in enumerate(zip(values, accumulate(values, min), accumulate(values, max))):
@@ -323,15 +330,17 @@ def from_tree(tree: WeightedTree) -> Permutation:
     """Rebuild the unique permutation consistent with a weighted spanning tree.
 
     Weights are propagated from vertex 1, then shifted so the values are
-    exactly {1..n}.  Raises InconsistentTree when no such shift exists.
+    exactly {1..n}.  Raises InconsistentTree when no such shift exists, and
+    ValueError, as ``Permutation`` does, when n exceeds MAX_ORDER.
     """
     n = tree.n
     values = _values_from_1(tree)
-    shift = 1 - min(values.values())
-    entries = tuple(values[v] + shift for v in range(1, n + 1))
-    if sorted(entries) != list(range(1, n + 1)):
+    entries = [values[v] for v in range(1, n + 1)]
+    low = _least_if_consecutive(entries)
+    if low is None:
         raise InconsistentTree("tree weights do not shift onto {1..%d}" % n)
-    return Permutation(entries)
+    check_order(n)
+    return Permutation._of(tuple(map(add, entries, repeat(1 - low))))
 
 
 def identity(n: int) -> Permutation:

@@ -14,8 +14,9 @@ The shipped predicates are module-level and picklable; called on a prefix
 they judge it whole.  The walker is one bit recursion carrying a bitmask of
 used differences per difference-triangle row.  It never calls a RowsRule but
 tests its rows inline, so extending a prefix costs a few bit operations
-rather than a rescan; any other predicate, convex_prefix_ok included, has no
-rows to test and is called on the full prefix at each extension.
+rather than a rescan; any other predicate has no rows to test and is called
+on the full prefix at each extension.  convex_prefix_ok is one: convexity's
+own non-decreasing-differences rule, the one is_convex applies.
 
 RowsRule counts and collects walk half the tree.  Complement (v -> n+1-v)
 negates every difference, so it keeps each triangle row repeat-free or not
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import convexity, triangle
+from .convexity import convex_prefix_ok
 from .perm_core import Permutation
 
 MAX_SEARCH_ORDER = 64
@@ -66,7 +68,7 @@ class SearchSpec:
     direction: str = "max"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_SEARCH_ORDER:
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_SEARCH_ORDER:
             raise ValueError(f"search order must be between 1 and {MAX_SEARCH_ORDER}, got {self.n}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
@@ -114,11 +116,6 @@ class RowsRule:
 
     def __call__(self, prefix: Sequence[int]) -> bool:
         return triangle.distinct_rows(prefix, len(prefix) if self.k is None else self.k)
-
-
-def convex_prefix_ok(prefix: Sequence[int]) -> bool:
-    """Consecutive differences of the prefix are non-decreasing."""
-    return all(prefix[i + 1] - prefix[i] <= prefix[i + 2] - prefix[i + 1] for i in range(len(prefix) - 2))
 
 
 one_costas_prefix_ok = RowsRule(1)
@@ -332,7 +329,7 @@ def _checked(text: str, n: int, collect: bool = False) -> Searchable:
     if prop is None:
         raise ValueError(f"property {text!r} is not searchable (use {', '.join(PROPERTY_FORMS[:-1])} or {PROPERTY_FORMS[-1]})")
     cap = min(prop.cap, prop.list_cap) if collect else prop.cap
-    if not 1 <= n <= cap:
+    if not isinstance(n, int) or not 1 <= n <= cap:
         raise ValueError(f"order for {text} must be 1..{cap}, got {n}")
     if prop.k is not None:
         check_k(prop.k, n)

@@ -50,6 +50,8 @@ def test_partial_fill_validation():
         PartialColumnFill(3, ())
     with pytest.raises(ValueError):
         PartialColumnFill(3, (4,))
+    with pytest.raises(ValueError, match=r"rows \(1\.5,\) are not distinct rows in 1\.\.3"):
+        PartialColumnFill(3, (1.5,))
 
 
 def test_interval_rows_and_k_convex():

@@ -118,6 +118,8 @@ def test_builder_state_invariants():
         BuilderState(3, (1, 1))
     with pytest.raises(ValueError):
         BuilderState(3, ())
+    with pytest.raises(ValueError, match=r"prefix \(1\.5,\) is not distinct columns in 1\.\.3"):
+        BuilderState(3, (1.5,))
 
 
 def test_extend_checks_permission():
@@ -224,9 +226,21 @@ def naive_costas_centrosymmetric(entries):
     return True
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+def centrosymmetric_perms(n):
+    """The 2^(n//2) (n//2)! centrosymmetric permutations of order n: entry i
+    takes one value of a pair {v, n+1-v}, and entry n+1-i the other."""
+    h = n // 2
+    middle = ((n + 1) // 2,) * (n % 2)
+    for order in itertools.permutations(range(1, h + 1)):
+        for flips in itertools.product((False, True), repeat=h):
+            first = tuple(n + 1 - v if flip else v for v, flip in zip(order, flips))
+            yield Permutation(first + middle + tuple(n + 1 - v for v in reversed(first)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_costas_centrosymmetric_matches_mirror_orbit_oracle(n):
-    for p in all_perms(n):
+    # past order 8 only the centrosymmetric permutations: both sides reject the rest
+    for p in all_perms(n) if n <= 8 else centrosymmetric_perms(n):
         assert is_costas_centrosymmetric(p) == naive_costas_centrosymmetric(p.entries), p
 
 
@@ -269,6 +283,8 @@ def test_costas_subpermutation():
     assert not is_costas_subpermutation((1, 2, 3), 12)
     assert not is_costas_subpermutation((1, 13), 12)  # out of range
     assert not is_costas_subpermutation((1, 1), 12)
+    assert not is_costas_subpermutation((1.5, 2), 3)  # not an integer
+    assert not is_costas_subpermutation((1.0, 2), 3)
 
 
 def test_costas_half():
@@ -276,6 +292,7 @@ def test_costas_half():
     assert not is_costas_half((1, 4), 2)  # both values from the pair {1,4}
     assert is_costas_half((1,), 1)
     assert not is_costas_half((1, 8, 10, 9, 2), 6)  # wrong length
+    assert not is_costas_half((1.0,), 1)  # not an integer
 
 
 def test_costas_half_requires_one_value_per_pair():

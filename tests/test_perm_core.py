@@ -11,6 +11,7 @@ from permderiv import (
     InvalidTree,
     NotRealizable,
     Permutation,
+    SearchSpec,
     WeightedTree,
     algorithm1,
     anti_identity,
@@ -20,6 +21,7 @@ from permderiv import (
     descent_count,
     enumerate_convex,
     from_tree,
+    gamma,
     identity,
     integrate,
     inverse,
@@ -31,6 +33,7 @@ from permderiv import (
     reverse,
     rotate90,
     sum_characteristic,
+    table,
     variation,
 )
 from permderiv.dpair import construct_dpair, inverse_dpair
@@ -123,6 +126,33 @@ def test_every_order_check_gives_the_same_message(call, minimum, n):
     with pytest.raises(ValueError) as info:
         call(n)
     assert str(info.value) == f"order must be between {minimum} and {MAX_ORDER}, got {n}"
+
+
+# A non-integer order fails at the same gate as an out-of-range one, with its
+# message; before, the closed forms answered (delta_star(7.5) == 26.0) and the
+# rest raised TypeError.  bool is an int subclass and stays accepted.
+NON_INTEGER_ORDERS = [
+    ("delta_star", lambda: variation.delta_star(7.5), f"order must be between 2 and {MAX_ORDER}, got 7.5"),
+    ("min_global_1costas", lambda: variation.min_global_1costas(6.0), f"order must be between 2 and {MAX_ORDER}, got 6.0"),
+    ("maximin_abs_value", lambda: variation.maximin_abs_value(7.5), f"order must be between 2 and {MAX_ORDER}, got 7.5"),
+    ("identity", lambda: identity(3.0), f"order must be between 1 and {MAX_ORDER}, got 3.0"),
+    ("pi_perm", lambda: variation.pi_perm(3.0), f"order must be between 1 and {MAX_ORDER}, got 3.0"),
+    ("construct_dpair", lambda: construct_dpair(1, 2.0), "need 1 <= a < b, got a=1, b=2.0"),
+    ("enumerate_convex", lambda: enumerate_convex(3.0), f"order must be between 1 and {MAX_ORDER}, got 3.0"),
+    ("classify_convex", lambda: classify_convex(3.0), f"order must be between 1 and {MAX_ORDER}, got 3.0"),
+    ("algorithm1", lambda: algorithm1(3.0, min), f"order must be between 1 and {MAX_ORDER}, got 3.0"),
+    ("gamma", lambda: gamma(3.0), "search order must be between 1 and 64, got 3.0"),
+    ("SearchSpec", lambda: SearchSpec(n=3.0, prefix_ok=min), "search order must be between 1 and 64, got 3.0"),
+    ("table", lambda: table("one-costas", 2.0), "order for one-costas must be 1..12, got 2.0"),
+]
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in NON_INTEGER_ORDERS],
+                         ids=[case[0] for case in NON_INTEGER_ORDERS])
+def test_non_integer_orders_are_rejected_at_the_order_gates(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_integrate_accepts_derivative_objects():
@@ -320,6 +350,25 @@ def test_from_tree_errors():
         WeightedTree('2', ())
     with pytest.raises(InconsistentTree):
         from_tree(WeightedTree(3, ((1, 2, 5), (2, 3, 1))))
+
+
+@pytest.mark.parametrize("edges", [
+    ((1, 2, 1), (2, 3, 5)),  # values 0, 1, 6: distinct, but they span 6 > n-1
+    ((1, 2, 2), (2, 3, -2)),  # values 0, 2, 0: they span n-1, but 0 repeats
+], ids=["distinct-too-wide", "repeated"])
+def test_from_tree_rejects_values_that_are_not_consecutive(edges):
+    with pytest.raises(InconsistentTree, match=r"tree weights do not shift onto \{1\.\.3\}"):
+        from_tree(WeightedTree(3, edges))
+
+
+@pytest.mark.slow
+def test_from_tree_rejects_a_consistent_tree_past_the_order_cap():
+    # about 4 s: the path 1, 2, ..., MAX_ORDER + 1 is consistent, so only the order is wrong
+    n = MAX_ORDER + 1
+    path = WeightedTree(n, tuple((i, i + 1, 1) for i in range(1, n)))
+    with pytest.raises(ValueError, match=f"order must be between 1 and {MAX_ORDER}, got {n}") as info:
+        from_tree(path)
+    assert not isinstance(info.value, InconsistentTree)
 
 
 @pytest.mark.parametrize("weight", [1.0, 1.5, "1"])
