@@ -123,50 +123,43 @@ def _cmd_check(args) -> CommandOutput:
     )
 
 
-# Each construction and the options it needs, in the order they are echoed.
+# Each construction: the options it needs, in the order they are echoed and passed, and its builder.
 _CONSTRUCTIONS = {
-    "dpair": ("a", "b"),
-    "min-local": ("n",),
-    "max-global": ("n",),
-    "maximin": ("n",),
-    "pi": ("k",),
-    "pi-star": ("k",),
-    "realize-shift": ("n", "s"),
+    "dpair": (("a", "b"), dpair.construct_dpair),
+    "min-local": (("n",), variation.construct_min_local_1costas),
+    "max-global": (("n",), variation.construct_max_global),
+    "maximin": (("n",), variation.construct_maximin_abs),
+    "pi": (("k",), variation.pi_perm),
+    "pi-star": (("k",), variation.pi_star),
+    "realize-shift": (("n", "s"), realize_shift),
 }
 
 
 def _cmd_construct(args) -> CommandOutput:
     kind = args.construction
-    inputs = {name: getattr(args, name) for name in _CONSTRUCTIONS[kind]}
+    options, builder = _CONSTRUCTIONS[kind]
+    inputs = {name: getattr(args, name) for name in options}
     missing = [f"--{name}" for name, value in inputs.items() if value is None]
     if missing:
         raise ValueError(f"construct {kind} needs {' and '.join(missing)}")
+    p = builder(*inputs.values())
     extra: dict = {}
     metadata: dict = {}
     if kind == "dpair":
-        p = dpair.construct_dpair(args.a, args.b)
         extra["realized_pair"] = str(dpair.DPair(args.a, -args.b))
         extra["inverse_pair"] = str(dpair.inverse_dpair(args.a, args.b))
     elif kind == "min-local":
-        p = variation.construct_min_local_1costas(args.n)
         extra["local_variation"] = variation.local_variation(p)
         extra["global_variation"] = variation.global_variation(p)
         if args.n % 2:
             metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["min_global_1costas_odd"]
     elif kind == "max-global":
-        p = variation.construct_max_global(args.n)
         extra["global_variation"] = variation.global_variation(p)
         if args.n % 2:
             metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["delta_star_odd"]
     elif kind == "maximin":
-        p = variation.construct_maximin_abs(args.n)
         extra["maximin_abs"] = variation.maximin_abs_value(args.n)
-    elif kind == "pi":
-        p = variation.pi_perm(args.k)
-    elif kind == "pi-star":
-        p = variation.pi_star(args.k)
-    else:  # realize-shift
-        p = realize_shift(args.n, args.s)
+    elif kind == "realize-shift":
         extra["sum_characteristic"] = sorted(sum_characteristic(derivative(p).diffs))
     lines = [str(p), str(derivative(p))]
     result = {"permutation": lines[0], "derivative": lines[1], **extra}

@@ -13,13 +13,17 @@ front gives the new first difference col[low] - c, allowed when at most the
 old first; one added at the back gives c - col[high], allowed when at least
 the old last.  extension_rows re-checks the whole fill instead, for the
 step-by-step Algorithm 1 and the verify checks.
+
+PartialColumnFill, and algorithm1 on its chooser's start row, judge rows by
+perm_core's one partial-permutation gate, _distinct_within: an int n and
+distinct ints of 1..n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .perm_core import Permutation, _all_ints, check_order, inverse, reverse
+from .perm_core import Permutation, _distinct_within, check_order, inverse, reverse
 from .variation import pi_star
 
 MAX_CONVEX_ORDER = 512  # enumerate_convex recurses once per column: about 0.4 s at the cap, CPython 3.11
@@ -43,10 +47,10 @@ class PartialColumnFill:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows_by_column", tuple(self.rows_by_column))
         rows = self.rows_by_column
-        if not 0 < len(rows) <= self.n:
-            raise ValueError(f"need between 1 and {self.n} filled columns, got {len(rows)}")
-        if not _all_ints(rows) or len(set(rows)) != len(rows) or not all(1 <= r <= self.n for r in rows):
-            raise ValueError(f"rows {rows} are not distinct rows in 1..{self.n}")
+        if not rows:
+            raise ValueError(f"need between 1 and {self.n} filled columns, got 0")
+        if not _distinct_within(rows, self.n):
+            raise ValueError(f"rows {rows} are not distinct rows in 1..{self.n!r}")
 
     @property
     def k(self) -> int:
@@ -115,7 +119,7 @@ def algorithm1(n: int, chooser: Callable[[Sequence[int]], int]) -> Permutation |
     """
     check_order(n)
     choice = chooser(tuple(range(1, n + 1)))
-    if not 1 <= choice <= n:
+    if not _distinct_within((choice,), n):
         raise ValueError(f"chooser returned {choice!r}, not a row in 1..{n}")
     state = PartialColumnFill(n, (choice,))
     while state.k < n:
@@ -123,7 +127,7 @@ def algorithm1(n: int, chooser: Callable[[Sequence[int]], int]) -> Permutation |
         if not candidates:
             return None
         choice = chooser(candidates)
-        if choice not in candidates:
+        if not isinstance(choice, int) or choice not in candidates:
             raise ValueError(f"chooser returned {choice!r}, not one of {candidates}")
         state = PartialColumnFill(n, state.rows_by_column + (choice,))
     return inverse(Permutation._of(state.rows_by_column))

@@ -7,6 +7,11 @@ This module also covers the incremental builder for distinct-derivative
 (1-Costas) permutations, a structural witness that every Costas matrix of
 order >= 4 contains mirrored segment pairs, and the looser variants:
 centrosymmetric, signed, subpermutation and half-permutation forms.
+
+BuilderState and is_costas_subpermutation judge their partial permutations
+by perm_core's one gate, _distinct_within: an int n and distinct ints of
+1..n.  The builder's no-repeated-difference rule is triangle.distinct_rows
+at row 1, the rule every other one-Costas check runs.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from operator import sub
 from typing import Sequence
 
 from . import search, triangle
-from .perm_core import Permutation, _all_ints
+from .perm_core import Permutation, _distinct_within
 
 Point = tuple[int, int]
 PointPair = tuple[Point, Point]
@@ -50,14 +55,12 @@ class BuilderState:
         prefix = self.prefix
         if not prefix:
             raise ValueError("prefix must contain at least the first-row choice")
-        columns = set(prefix)
-        if not _all_ints(prefix) or len(columns) != len(prefix) or not all(1 <= c <= self.n for c in prefix):
-            raise ValueError(f"prefix {prefix} is not distinct columns in 1..{self.n}")
-        diffs = [prefix[i + 1] - prefix[i] for i in range(len(prefix) - 1)]
-        if len(set(diffs)) != len(diffs):
+        if not _distinct_within(prefix, self.n):
+            raise ValueError(f"prefix {prefix} is not distinct columns in 1..{self.n!r}")
+        if not triangle.distinct_rows(prefix, 1):
             raise ValueError(f"prefix {prefix} repeats a consecutive difference")
-        object.__setattr__(self, "used_columns", frozenset(columns))
-        object.__setattr__(self, "used_diffs", frozenset(diffs))
+        object.__setattr__(self, "used_columns", frozenset(prefix))
+        object.__setattr__(self, "used_diffs", frozenset(map(sub, prefix[1:], prefix)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def permitted_positions(state: BuilderState) -> frozenset[int]:
 
 def extend(state: BuilderState, column: int) -> BuilderState:
     """Extend the prefix by one permitted column."""
-    if column not in permitted_positions(state):
+    if not isinstance(column, int) or column not in permitted_positions(state):
         raise ValueError(f"column {column} is not permitted after prefix {state.prefix}")
     return BuilderState(state.n, state.prefix + (column,))
 
@@ -184,11 +187,7 @@ def is_costas_signed(s: SignedPermutation) -> bool:
 def is_costas_subpermutation(values: Sequence[int], n: int) -> bool:
     """Distinct values from {1..n} whose difference triangle has no row repeats."""
     values = tuple(values)
-    if not values or not _all_ints(values) or len(set(values)) != len(values):
-        return False
-    if not all(1 <= v <= n for v in values):
-        return False
-    return triangle.distinct_rows(values, len(values) - 1)
+    return bool(values) and _distinct_within(values, n) and triangle.distinct_rows(values, len(values) - 1)
 
 
 def is_costas_half(values: Sequence[int], m: int) -> bool:

@@ -31,6 +31,8 @@ class DPair:
     q: int
 
     def __post_init__(self) -> None:
+        if not _all_ints((self.p, self.q)):
+            raise ValueError(f"pair values must be integers, got ({self.p}, {self.q})")
         if self.p == self.q:
             raise ValueError(f"pair values must differ, got ({self.p}, {self.q})")
 

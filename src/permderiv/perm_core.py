@@ -40,7 +40,9 @@ which the tests check at every order up to 300 and next to MAX_ORDER:
   interleaved;
 - ``construct_dpair``: 2..b+1 then 1, or 1 + (i*a mod a+b), one-to-one as gcd(a, a+b) = 1;
 - ``costas.reverse_second_half``: the same entries in another order;
-- the optimize witness of ``search.enumerate``: the walker emits n distinct values of 1..n.
+- ``search.enumerate``'s collect results and optimize witness: the walker emits n distinct
+  values of 1..n, and under a ``RowsRule`` a collect adds their complements, one-to-one as in
+  ``complement``.
 
 These are built by proof too; their tests compare them with oracles at small orders:
 
@@ -105,10 +107,40 @@ def check_order(n: int, minimum: int = 1) -> None:
         raise ValueError(f"order must be between {minimum} and {MAX_ORDER}, got {n}")
 
 
+class _IntSequence:
+    """What Permutation and Derivative share: one tuple field, named by _FIELD, and its text form."""
+
+    _FIELD: str
+
+    @classmethod
+    def _of(cls, values: tuple[int, ...]):
+        """Wrap a tuple that is valid by construction, unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, cls._FIELD, values)
+        return obj
+
+    @classmethod
+    def from_string(cls, text: str):
+        return cls(parse_int_sequence(text))
+
+    def __str__(self) -> str:
+        return format_int_sequence(getattr(self, self._FIELD))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._FIELD))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(getattr(self, self._FIELD))
+
+    def __getitem__(self, index):
+        return getattr(self, self._FIELD)[index]
+
+
 @dataclass(frozen=True)
-class Permutation:
+class Permutation(_IntSequence):
     """A permutation of {1..n}, entries 1-based."""
 
+    _FIELD = "entries"
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -123,38 +155,16 @@ class Permutation:
                 raise ValueError(f"duplicate entry {v}")
             seen[v] = 1
 
-    @classmethod
-    def _of(cls, entries: tuple[int, ...]) -> "Permutation":
-        """Wrap a tuple that is a permutation of {1..n} by construction, unchecked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "entries", entries)
-        return p
-
     @property
     def n(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Permutation":
-        return cls(parse_int_sequence(text))
-
-    def __str__(self) -> str:
-        return format_int_sequence(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, index):
-        return self.entries[index]
-
 
 @dataclass(frozen=True)
-class Derivative:
+class Derivative(_IntSequence):
     """Consecutive differences of a permutation; length n-1 at order n."""
 
+    _FIELD = "diffs"
     diffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -164,32 +174,9 @@ class Derivative:
             if not isinstance(d, int) or d == 0 or abs(d) > n - 1:
                 raise ValueError(f"difference {d!r} impossible at order {n}")
 
-    @classmethod
-    def _of(cls, diffs: tuple[int, ...]) -> "Derivative":
-        """Wrap the differences of a checked permutation, unchecked."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "diffs", diffs)
-        return d
-
     @property
     def n(self) -> int:
         return len(self.diffs) + 1
-
-    @classmethod
-    def from_string(cls, text: str) -> "Derivative":
-        return cls(parse_int_sequence(text))
-
-    def __str__(self) -> str:
-        return format_int_sequence(self.diffs)
-
-    def __len__(self) -> int:
-        return len(self.diffs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.diffs)
-
-    def __getitem__(self, index):
-        return self.diffs[index]
 
 
 @dataclass(frozen=True)
@@ -263,6 +250,11 @@ def _all_ints(z: tuple) -> bool:
     return all(map(isinstance, z, repeat(int)))
 
 
+def _distinct_within(values: tuple, n: int) -> bool:
+    """True iff n is an int and values are distinct ints of 1..n: the entries of a partial permutation."""
+    return isinstance(n, int) and _all_ints(values) and len(set(values)) == len(values) and all(1 <= v <= n for v in values)
+
+
 def _least_if_consecutive(values: list[int]) -> int | None:
     """The least of values if they are len(values) consecutive integers, else None.
 
@@ -321,7 +313,7 @@ def realize_shift(n: int, s: int) -> Permutation:
     every set of n consecutive integers containing 0.
     """
     check_order(n)
-    if not 0 <= s <= n - 1:
+    if not isinstance(s, int) or not 0 <= s <= n - 1:
         raise ValueError(f"shift must be between 0 and {n - 1}, got {s}")
     return Permutation._of((s + 1, *range(1, s + 1), *range(s + 2, n + 1)))
 

@@ -94,8 +94,8 @@ def _fraction(count: int, total: int) -> float:
 
 
 def check_k(k: int, n: int) -> None:
-    """Raise ValueError unless 0 <= k <= n-1, the k for which k-Costas is defined at order n."""
-    if not 0 <= k <= n - 1:
+    """Raise ValueError unless k is an int in 0..n-1, the k for which k-Costas is defined at order n."""
+    if not isinstance(k, int) or not 0 <= k <= n - 1:
         raise ValueError(f"k must be between 0 and {n - 1}, got {k}")
 
 

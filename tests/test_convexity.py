@@ -127,6 +127,16 @@ def test_algorithm1_rejects_bad_chooser():
         algorithm1(4, lambda candidates: 1 if len(candidates) == 4 else 4)
 
 
+def test_algorithm1_names_a_chooser_that_returns_a_non_integer():
+    # 1.0 and 2.0 equal candidates, yet are not rows: the chooser is at fault
+    with pytest.raises(ValueError) as info:
+        algorithm1(3, lambda candidates: float(candidates[0]))
+    assert str(info.value) == "chooser returned 1.0, not a row in 1..3"
+    with pytest.raises(ValueError) as info:
+        algorithm1(3, lambda candidates: 1 if len(candidates) == 3 else float(candidates[0]))
+    assert str(info.value) == "chooser returned 2.0, not one of (2,)"
+
+
 def test_algorithm1_outputs_are_convex():
     import random
 

@@ -128,6 +128,8 @@ def test_extend_checks_permission():
     assert state.prefix == (1, 3)
     with pytest.raises(ValueError):
         extend(state, 3)  # column used
+    with pytest.raises(ValueError, match=r"column 2\.0 is not permitted after prefix \(1, 3\)"):
+        extend(state, 2.0)  # equals a permitted column, yet is no column
     full = extend(extend(start_state(3, 2), 3), 1)
     assert permitted_positions(full) == frozenset()
 

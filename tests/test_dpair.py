@@ -29,6 +29,13 @@ def test_dpair_type():
         DPair(3, 3)
 
 
+@pytest.mark.parametrize("p,q", [(1.5, -2), (2, -3.0), ("2", -3)])
+def test_dpair_rejects_non_integer_values(p, q):
+    with pytest.raises(ValueError) as info:
+        DPair(p, q)
+    assert str(info.value) == f"pair values must be integers, got ({p}, {q})"
+
+
 def test_dpair_normalized():
     assert DPair(2, -3).normalized() == DPair(3, -2)
     assert DPair(-13, 5).normalized() == DPair(13, -5)

@@ -6,10 +6,12 @@ import pytest
 
 from permderiv import (
     MAX_ORDER,
+    BuilderState,
     Derivative,
     InconsistentTree,
     InvalidTree,
     NotRealizable,
+    PartialColumnFill,
     Permutation,
     SearchSpec,
     WeightedTree,
@@ -25,7 +27,9 @@ from permderiv import (
     identity,
     integrate,
     inverse,
+    is_costas_subpermutation,
     is_grassmannian,
+    is_k_costas,
     is_realizable,
     matrix,
     parse_int_sequence,
@@ -130,7 +134,8 @@ def test_every_order_check_gives_the_same_message(call, minimum, n):
 
 # A non-integer order fails at the same gate as an out-of-range one, with its
 # message; before, the closed forms answered (delta_star(7.5) == 26.0) and the
-# rest raised TypeError.  bool is an int subclass and stays accepted.
+# rest raised TypeError.  So do a non-integer k, shift and partial-permutation
+# order.  bool is an int subclass and stays accepted.
 NON_INTEGER_ORDERS = [
     ("delta_star", lambda: variation.delta_star(7.5), f"order must be between 2 and {MAX_ORDER}, got 7.5"),
     ("min_global_1costas", lambda: variation.min_global_1costas(6.0), f"order must be between 2 and {MAX_ORDER}, got 6.0"),
@@ -144,6 +149,10 @@ NON_INTEGER_ORDERS = [
     ("gamma", lambda: gamma(3.0), "search order must be between 1 and 64, got 3.0"),
     ("SearchSpec", lambda: SearchSpec(n=3.0, prefix_ok=min), "search order must be between 1 and 64, got 3.0"),
     ("table", lambda: table("one-costas", 2.0), "order for one-costas must be 1..12, got 2.0"),
+    ("is_k_costas", lambda: is_k_costas(identity(3), 1.0), "k must be between 0 and 2, got 1.0"),
+    ("realize_shift", lambda: realize_shift(3, 1.0), "shift must be between 0 and 2, got 1.0"),
+    ("BuilderState", lambda: BuilderState(3.0, (1,)), "prefix (1,) is not distinct columns in 1..3.0"),
+    ("PartialColumnFill", lambda: PartialColumnFill(3.0, (1,)), "rows (1,) are not distinct rows in 1..3.0"),
 ]
 
 
@@ -153,6 +162,34 @@ def test_non_integer_orders_are_rejected_at_the_order_gates(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# Inputs of length <= 2 repeat no difference, so the three partial-permutation
+# judges differ only at the one gate they share: both builders raise exactly
+# when is_costas_subpermutation says no.
+PARTIAL_CASES = [
+    (3, (1,), True),
+    (3, (3, 1), True),
+    (3.0, (1,), False),
+    ("3", (1,), False),
+    (3, (1.5,), False),
+    (3, (2, 1.5), False),
+    (3, (2, 2), False),
+    (3, (0,), False),
+    (3, (1, 4), False),
+    (3, (), False),
+]
+
+
+@pytest.mark.parametrize("n,values,ok", PARTIAL_CASES)
+def test_partial_permutation_gate_is_shared(n, values, ok):
+    assert is_costas_subpermutation(values, n) is ok
+    for build in (BuilderState, PartialColumnFill):
+        if ok:
+            build(n, values)
+        else:
+            with pytest.raises(ValueError):
+                build(n, values)
 
 
 def test_integrate_accepts_derivative_objects():
