@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every library operation is reachable as a subcommand with text, JSON or CSV
-output.  Exit codes: 0 for success or a true check, 1 for a false check or
-a search that came up empty, 2 for invalid input.
+Every library operation is reachable as a subcommand with text or JSON output, and a
+count table (count, table, verify figure1) also as CSV written from its rows.  construct
+and verify reject an option they would ignore.  Exit codes: 0 for success or a true
+check, 1 for a false check or a search that came up empty, 2 for invalid input.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import costas, dpair, search, triangle, variation, verify
 from .perm_core import (
@@ -39,47 +41,43 @@ class CommandOutput:
     result: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    csv_rows: list[tuple] | None = None
+    rows: tuple[search.CountRow, ...] | None = None  # a count table, the only output with CSV
 
 
+def _dpair(param: str):
+    values = parse_int_sequence(param)
+    if len(values) != 2:
+        raise ValueError(f"dpair property needs two values, got {param!r}")
+    return partial(dpair.is_dpair_realization, pair=dpair.DPair(*values))
+
+
+# Each check-only property by printed form: bare, its predicate; NAME=X, a builder of it from X.
 _CHECK_ONLY = {
     "mid-alternating": variation.is_mid_alternating,
     "centrosymmetric": costas.is_centrosymmetric,
     "costas-centrosymmetric": costas.is_costas_centrosymmetric,
+    "lipschitz=L": lambda param: partial(variation.is_lipschitz, bound=search.int_parameter("lipschitz", param)),
+    "dpair=P,Q": _dpair,
 }
 
 
 def _check_property(text: str):
-    """Map a --property value to a predicate on Permutation: check-only or searchable."""
-    if text in _CHECK_ONLY:
-        return _CHECK_ONLY[text]
+    """Map a --property value to a predicate on Permutation: searchable or check-only."""
     prop = search.searchable(text)
     if prop is not None:
         return prop.holds
     name, sep, param = text.partition("=")
-    if sep and name == "lipschitz":
-        bound = search.int_parameter(name, param)
-        return lambda p: variation.is_lipschitz(p, bound)
-    if sep and name == "dpair":
-        values = parse_int_sequence(param)
-        if len(values) != 2:
-            raise ValueError(f"dpair property needs two values, got {param!r}")
-        pair = dpair.DPair(*values)
-        return lambda p: dpair.is_dpair_realization(p, pair)
+    for form, entry in _CHECK_ONLY.items():
+        if form.partition("=")[:2] == (name, sep):
+            return entry(param) if sep else entry
     raise ValueError(f"unknown property {text!r}")
 
 
-def _table_lines(rows) -> list[str]:
+def _table_output(rows, **fields) -> CommandOutput:
+    """A count table as text lines, JSON rows and, through CommandOutput.rows, CSV."""
     lines = [f"{'n':>3} {'total':>12} {'count':>10} {'fraction':>8}"]
-    for r in rows:
-        lines.append(f"{r.n:>3} {r.total:>12} {r.count:>10} {r.fraction:>8.1f}")
-    return lines
-
-
-def _table_csv(rows) -> list[tuple]:
-    out = [("n", "total", "count", "fraction")]
-    out.extend((r.n, r.total, r.count, f"{r.fraction:.1f}") for r in rows)
-    return out
+    lines.extend(f"{r.n:>3} {r.total:>12} {r.count:>10} {r.fraction:>8.1f}" for r in rows)
+    return CommandOutput(lines=lines, result={"rows": [r._asdict() for r in rows]}, rows=rows, **fields)
 
 
 def _cmd_derive(args) -> CommandOutput:
@@ -133,6 +131,9 @@ _CONSTRUCTIONS = {
     "pi-star": (("k",), variation.pi_star),
     "realize-shift": (("n", "s"), realize_shift),
 }
+# Every construct option, in help order, with its help.
+_CONSTRUCT_OPTIONS = {"a": "small step for dpair", "b": "large step for dpair", "n": "order",
+                      "k": "order for pi / pi-star", "s": "shift for realize-shift"}
 
 
 def _cmd_construct(args) -> CommandOutput:
@@ -142,6 +143,9 @@ def _cmd_construct(args) -> CommandOutput:
     missing = [f"--{name}" for name, value in inputs.items() if value is None]
     if missing:
         raise ValueError(f"construct {kind} needs {' and '.join(missing)}")
+    ignored = [f"--{name}" for name in _CONSTRUCT_OPTIONS if name not in options and getattr(args, name) is not None]
+    if ignored:
+        raise ValueError(f"construct {kind} does not take {' and '.join(ignored)}")
     p = builder(*inputs.values())
     extra: dict = {}
     metadata: dict = {}
@@ -179,20 +183,14 @@ def _cmd_count(args) -> CommandOutput:
     row = search.count_row(args.property, args.n)
     return CommandOutput(
         lines=[f"n={row.n} total={row.total} count={row.count} fraction={row.fraction:.1f}"],
-        result={"n": row.n, "total": row.total, "count": row.count, "fraction": row.fraction},
+        result=row._asdict(),
         inputs={"property": args.property, "n": args.n},
-        csv_rows=_table_csv([row]),
+        rows=(row,),
     )
 
 
 def _cmd_table(args) -> CommandOutput:
-    rows = search.table(args.kind, args.max_n)
-    return CommandOutput(
-        lines=_table_lines(rows),
-        result={"rows": [row._asdict() for row in rows]},
-        inputs={"kind": args.kind, "max_n": args.max_n},
-        csv_rows=_table_csv(rows),
-    )
+    return _table_output(search.table(args.kind, args.max_n), inputs={"kind": args.kind, "max_n": args.max_n})
 
 
 def _cmd_gamma(args) -> CommandOutput:
@@ -207,16 +205,14 @@ def _cmd_gamma(args) -> CommandOutput:
 
 def _cmd_verify(args) -> CommandOutput:
     if args.target == "figure1":
-        rows, ok = verify.check_reference_counts(args.max_n)
-        lines = _table_lines(rows)
-        lines.append("figure1: ok" if ok else "figure1: MISMATCH against reference counts")
-        return CommandOutput(
-            code=0 if ok else 1,
-            lines=lines,
-            result={"rows": [row._asdict() for row in rows], "ok": ok},
-            inputs={"target": "figure1", "max_n": args.max_n},
-            csv_rows=_table_csv(rows),
-        )
+        max_n = len(verify.REFERENCE_ONE_COSTAS) if args.max_n is None else args.max_n
+        rows, ok = verify.check_reference_counts(max_n)
+        out = _table_output(rows, code=0 if ok else 1, inputs={"target": "figure1", "max_n": max_n})
+        out.lines.append("figure1: ok" if ok else "figure1: MISMATCH against reference counts")
+        out.result["ok"] = ok
+        return out
+    if args.max_n is not None:
+        raise ValueError("verify examples does not take --max-n")
     outcomes = verify.run_examples()
     failed = [name for name, ok in outcomes if not ok]
     lines = [("ok   " if ok else "FAIL ") + name for name, ok in outcomes]
@@ -254,18 +250,14 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_triangle)
 
     p = sub.add_parser("check", parents=[common], help="test a permutation property")
-    check_help = " | ".join((*search.PROPERTY_FORMS, *_CHECK_ONLY, "lipschitz=L", "dpair=P,Q"))
-    p.add_argument("--property", required=True, help=check_help)
+    p.add_argument("--property", required=True, help=" | ".join((*search.PROPERTY_FORMS, *_CHECK_ONLY)))
     p.add_argument("permutation")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("construct", parents=[common], help="build a named extremal permutation")
     p.add_argument("construction", choices=_CONSTRUCTIONS)
-    p.add_argument("--a", type=int, help="small step for dpair")
-    p.add_argument("--b", type=int, help="large step for dpair")
-    p.add_argument("--n", type=int, help="order")
-    p.add_argument("--k", type=int, help="order for pi / pi-star")
-    p.add_argument("--s", type=int, help="shift for realize-shift")
+    for name, text in _CONSTRUCT_OPTIONS.items():
+        p.add_argument(f"--{name}", type=int, help=text)
     p.set_defaults(handler=_cmd_construct)
 
     searched = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -289,7 +281,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="bundled self-checks")
     p.add_argument("target", choices=("figure1", "examples"))
-    p.add_argument("--max-n", type=int, default=10, dest="max_n")
+    p.add_argument("--max-n", type=int, dest="max_n")
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -299,9 +291,11 @@ def _render(args, out: CommandOutput, runtime: float) -> str:
     if args.format == "text":
         return "\n".join(out.lines)
     if args.format == "csv":
-        if out.csv_rows is None:
+        if out.rows is None:
             raise ValueError(f"--format csv is not supported for {args.command!r}")
-        return "\n".join(",".join(str(cell) for cell in row) for row in out.csv_rows)
+        lines = [",".join(search.CountRow._fields)]
+        lines.extend(f"{r.n},{r.total},{r.count},{r.fraction:.1f}" for r in out.rows)
+        return "\n".join(lines)
     metadata = dict(out.metadata)
     metadata["runtime_s"] = round(runtime, 6)
     envelope = {

@@ -53,8 +53,8 @@ def build(values: Iterable[int]) -> DifferenceTriangle:
 
 
 def row(t: DifferenceTriangle, k: int) -> tuple[int, ...]:
-    """Row k of the triangle; row 0 is the base."""
-    if not 0 <= k <= t.m - 1:
+    """Row k of the triangle; row 0 is the base.  ValueError unless k is an int in 0..m-1."""
+    if not isinstance(k, int) or not 0 <= k <= t.m - 1:
         raise ValueError(f"row index must be between 0 and {t.m - 1}, got {k}")
     return t.rows[k]
 
@@ -66,8 +66,7 @@ def row_has_repeat(t: DifferenceTriangle, k: int) -> bool:
 
 def distinct_through(t: DifferenceTriangle, k: int) -> bool:
     """True iff rows 0..k are each repeat-free."""
-    if not 0 <= k <= t.m - 1:
-        raise ValueError(f"row index must be between 0 and {t.m - 1}, got {k}")
+    row(t, k)  # the index check
     return all(not row_has_repeat(t, i) for i in range(k + 1))
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from permderiv import MAX_ORDER, cli
+from permderiv import MAX_ORDER, cli, search
 from permderiv.triangle import MAX_TRIANGLE_ORDER
 
 
@@ -405,6 +405,12 @@ def test_k_costas_non_integer_names_the_property(capsys, argv):
     "argv,err",
     [
         (["check", "--property", "dpair=1,2,3", "1,2,3"], "error: dpair property needs two values, got '1,2,3'\n"),
+        (["check", "--property", "dpair=", "1,2,3"], "error: dpair property needs two values, got ''\n"),
+        (["check", "--property", "dpair=2,2", "1,2,3"], "error: pair values must differ, got (2, 2)\n"),
+        (["check", "--property", "lipschitz=", "1,2,3"], "error: lipschitz property needs an integer, got ''\n"),
+        # a form matches on its name and on whether it takes a parameter
+        *[(["check", "--property", text, "1,2,3"], f"error: unknown property {text!r}\n")
+          for text in ("lipschitz", "dpair", "k-costas", "costas=1", "mid-alternating=2", "centrosymmetric=")],
         (["count", "--property", "nosuch", "--n", "5"],
          "error: property 'nosuch' is not searchable (use one-costas, costas, k-costas=K or convex)\n"),
     ],
@@ -417,6 +423,74 @@ def test_lipschitz_non_integer_names_the_property(capsys):
     code, _, err = run(capsys, "check", "--property", "lipschitz=y", "1,2,3")
     assert code == 2
     assert err == "error: lipschitz property needs an integer, got 'y'\n"
+
+
+def _check_help_forms(capsys, monkeypatch):
+    """The property forms `check --help` lists, in order."""
+    monkeypatch.setenv("COLUMNS", "400")  # one help line per option
+    with pytest.raises(SystemExit):
+        cli.run(["check", "--help"])
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("--property"))
+    return line.split("PROPERTY", 1)[1].strip().split(" | ")
+
+
+def _instance(form):
+    """A property text of the form, with K=1, L=2 and P,Q=2,-3."""
+    return form.replace("=K", "=1").replace("=L", "=2").replace("=P,Q", "=2,-3")
+
+
+def test_check_help_lists_each_form_once(capsys, monkeypatch):
+    assert _check_help_forms(capsys, monkeypatch) == [
+        "one-costas", "costas", "k-costas=K", "convex", "mid-alternating", "centrosymmetric",
+        "costas-centrosymmetric", "lipschitz=L", "dpair=P,Q",
+    ]
+
+
+def test_check_accepts_every_listed_form(capsys, monkeypatch):
+    for form in _check_help_forms(capsys, monkeypatch):
+        code, out, err = run(capsys, "check", "--property", _instance(form), "2,4,1,3")
+        assert (code, out, err) in ((0, "true\n", ""), (1, "false\n", "")), form
+
+
+def test_check_only_forms_are_not_searchable(capsys, monkeypatch):
+    check_only = [form for form in _check_help_forms(capsys, monkeypatch) if form not in search.PROPERTY_FORMS]
+    assert check_only
+    assert not {form.partition("=")[0] for form in check_only} & set(search.SEARCHABLE)
+    for form in check_only:
+        text = _instance(form)
+        assert run(capsys, "count", "--property", text, "--n", "5") == (
+            2, "", f"error: property {text!r} is not searchable (use one-costas, costas, k-costas=K or convex)\n")
+
+
+def test_count_csv_is_the_table_csv_row(capsys):
+    code, count, _ = run(capsys, "count", "--property", "one-costas", "--n", "7", "--format", "csv")
+    assert code == 0
+    code, table, _ = run(capsys, "table", "--kind", "one-costas", "--max-n", "7", "--format", "csv")
+    assert code == 0
+    assert count == "n,total,count,fraction\n" + table.splitlines()[-1] + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["construct", "dpair", "--a", "5", "--b", "13", "--n", "3"], "construct dpair does not take --n"),
+        (["construct", "pi", "--k", "3", "--n", "5", "--s", "1"], "construct pi does not take --n and --s"),
+        (["construct", "realize-shift", "--n", "5", "--s", "2", "--a", "1"], "construct realize-shift does not take --a"),
+        (["construct", "pi", "--n", "5"], "construct pi needs --k"),  # the missing option is named first
+        (["verify", "examples", "--max-n", "3"], "verify examples does not take --max-n"),
+        (["verify", "figure1", "--max-n", "0"], "reference data covers orders 1..10, got 0"),
+    ],
+)
+def test_options_a_subcommand_would_ignore_are_rejected(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_verify_figure1_defaults_to_order_10(capsys):
+    code, out, _ = run(capsys, "verify", "figure1", "--format", "json")
+    assert code == 0
+    envelope = json.loads(out)
+    assert envelope["inputs"] == {"target": "figure1", "max_n": 10}
+    assert [row["n"] for row in envelope["result"]["rows"]] == list(range(1, 11))
 
 
 # (property, count cap, enumerate cap); the first three are also table kinds,

@@ -71,6 +71,14 @@ def test_repeat_predicates():
     assert distinct_through(clean, 3)
 
 
+@pytest.mark.parametrize("accessor", [row, row_has_repeat, distinct_through])
+@pytest.mark.parametrize("k", [1.0, 0.0, "1", None])
+def test_row_index_must_be_an_int(accessor, k):
+    t = build((3, 5, 1, 6, 2, 4))
+    with pytest.raises(ValueError, match=f"^row index must be between 0 and 5, got {k}$"):
+        accessor(t, k)
+
+
 def test_rows_are_sums_of_first_order_differences():
     rng = random.Random(3)
     bases = [
