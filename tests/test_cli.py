@@ -405,14 +405,14 @@ def test_k_costas_non_integer_names_the_property(capsys, argv):
     "argv,err",
     [
         (["check", "--property", "dpair=1,2,3", "1,2,3"], "error: dpair property needs two values, got '1,2,3'\n"),
+        (["count", "--property", "nosuch", "--n", "5"],
+         "error: property 'nosuch' is not searchable (use one-costas, costas, k-costas=K or convex)\n"),
         (["check", "--property", "dpair=", "1,2,3"], "error: dpair property needs two values, got ''\n"),
         (["check", "--property", "dpair=2,2", "1,2,3"], "error: pair values must differ, got (2, 2)\n"),
         (["check", "--property", "lipschitz=", "1,2,3"], "error: lipschitz property needs an integer, got ''\n"),
         # a form matches on its name and on whether it takes a parameter
         *[(["check", "--property", text, "1,2,3"], f"error: unknown property {text!r}\n")
           for text in ("lipschitz", "dpair", "k-costas", "costas=1", "mid-alternating=2", "centrosymmetric=")],
-        (["count", "--property", "nosuch", "--n", "5"],
-         "error: property 'nosuch' is not searchable (use one-costas, costas, k-costas=K or convex)\n"),
     ],
 )
 def test_bad_property_text_is_one_line_exit_2(capsys, argv, err):
