@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple
 
 from . import costas, dpair, search, triangle, variation, verify
 from .perm_core import (
@@ -45,10 +46,10 @@ class CommandOutput:
 
 
 def _dpair(param: str):
-    values = parse_int_sequence(param)
+    values = param.split(",")
     if len(values) != 2:
         raise ValueError(f"dpair property needs two values, got {param!r}")
-    return partial(dpair.is_dpair_realization, pair=dpair.DPair(*values))
+    return partial(dpair.is_dpair_realization, pair=dpair.DPair(*(search.int_parameter("dpair", v) for v in values)))
 
 
 # Each check-only property by printed form: bare, its predicate; NAME=X, a builder of it from X.
@@ -121,15 +122,34 @@ def _cmd_check(args) -> CommandOutput:
     )
 
 
-# Each construction: the options it needs, in the order they are echoed and passed, and its builder.
+# A construct kind: its options, in the order they are echoed and passed to build; its values beyond the permutation
+# and derivative, from the permutation and the options; and a refuted odd-order closed form, noted at odd orders.
+class _Construction(NamedTuple):
+    options: tuple[str, ...]
+    build: Callable[..., Permutation]
+    values: Callable[..., dict] = lambda p, *options: {}
+    note: dict | None = None
+
+
 _CONSTRUCTIONS = {
-    "dpair": (("a", "b"), dpair.construct_dpair),
-    "min-local": (("n",), variation.construct_min_local_1costas),
-    "max-global": (("n",), variation.construct_max_global),
-    "maximin": (("n",), variation.construct_maximin_abs),
-    "pi": (("k",), variation.pi_perm),
-    "pi-star": (("k",), variation.pi_star),
-    "realize-shift": (("n", "s"), realize_shift),
+    "dpair": _Construction(
+        ("a", "b"), dpair.construct_dpair,
+        lambda p, a, b: {"realized_pair": str(dpair.DPair(a, -b)), "inverse_pair": str(dpair.inverse_dpair(a, b))}),
+    "min-local": _Construction(
+        ("n",), variation.construct_min_local_1costas,
+        lambda p, n: {"local_variation": variation.local_variation(p), "global_variation": variation.global_variation(p)},
+        {"used": "(n^2-1)/4+1", "divergent": "(n-1)^2/4+1",
+         "note": "the divergent form fails its own order-11 witness, which sums to 31"}),
+    "max-global": _Construction(
+        ("n",), variation.construct_max_global, lambda p, n: {"global_variation": variation.global_variation(p)},
+        {"used": "(n^2-3)/2", "divergent": "(3n^2-6n-13)/4",
+         "note": "the divergent form matches n=7 but fails exhaustive search at n=5"}),
+    "maximin": _Construction(
+        ("n",), variation.construct_maximin_abs, lambda p, n: {"maximin_abs": variation.maximin_abs_value(n)}),
+    "pi": _Construction(("k",), variation.pi_perm),
+    "pi-star": _Construction(("k",), variation.pi_star),
+    "realize-shift": _Construction(
+        ("n", "s"), realize_shift, lambda p, n, s: {"sum_characteristic": sorted(sum_characteristic(derivative(p).diffs))}),
 }
 # Every construct option, in help order, with its help.
 _CONSTRUCT_OPTIONS = {"a": "small step for dpair", "b": "large step for dpair", "n": "order",
@@ -138,35 +158,18 @@ _CONSTRUCT_OPTIONS = {"a": "small step for dpair", "b": "large step for dpair", 
 
 def _cmd_construct(args) -> CommandOutput:
     kind = args.construction
-    options, builder = _CONSTRUCTIONS[kind]
-    inputs = {name: getattr(args, name) for name in options}
+    construction = _CONSTRUCTIONS[kind]
+    inputs = {name: getattr(args, name) for name in construction.options}
     missing = [f"--{name}" for name, value in inputs.items() if value is None]
     if missing:
         raise ValueError(f"construct {kind} needs {' and '.join(missing)}")
-    ignored = [f"--{name}" for name in _CONSTRUCT_OPTIONS if name not in options and getattr(args, name) is not None]
+    ignored = [f"--{name}" for name in _CONSTRUCT_OPTIONS if name not in inputs and getattr(args, name) is not None]
     if ignored:
         raise ValueError(f"construct {kind} does not take {' and '.join(ignored)}")
-    p = builder(*inputs.values())
-    extra: dict = {}
-    metadata: dict = {}
-    if kind == "dpair":
-        extra["realized_pair"] = str(dpair.DPair(args.a, -args.b))
-        extra["inverse_pair"] = str(dpair.inverse_dpair(args.a, args.b))
-    elif kind == "min-local":
-        extra["local_variation"] = variation.local_variation(p)
-        extra["global_variation"] = variation.global_variation(p)
-        if args.n % 2:
-            metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["min_global_1costas_odd"]
-    elif kind == "max-global":
-        extra["global_variation"] = variation.global_variation(p)
-        if args.n % 2:
-            metadata["divergent_closed_forms"] = variation.DIVERGENT_CLOSED_FORMS["delta_star_odd"]
-    elif kind == "maximin":
-        extra["maximin_abs"] = variation.maximin_abs_value(args.n)
-    elif kind == "realize-shift":
-        extra["sum_characteristic"] = sorted(sum_characteristic(derivative(p).diffs))
+    p = construction.build(*inputs.values())
     lines = [str(p), str(derivative(p))]
-    result = {"permutation": lines[0], "derivative": lines[1], **extra}
+    result = {"permutation": lines[0], "derivative": lines[1], **construction.values(p, *inputs.values())}
+    metadata = {"divergent_closed_forms": construction.note} if construction.note and p.n % 2 else {}
     return CommandOutput(lines=lines, result=result, inputs=inputs, metadata=metadata)
 
 

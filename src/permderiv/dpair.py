@@ -50,9 +50,7 @@ class DPair:
 
 
 def is_dpair_realization(perm: Permutation, pair: DPair) -> bool:
-    """True iff the derivative's value set is exactly {p, q}."""
-    if perm.n < 2:
-        raise ValueError("realization needs order at least 2")
+    """True iff the derivative's value set is exactly {p, q}; never at order 1, whose derivative is empty."""
     return set(derivative(perm).diffs) == {pair.p, pair.q}
 
 

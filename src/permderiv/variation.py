@@ -10,7 +10,7 @@ derivative entry.
 """
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
 from operator import sub
 from typing import Iterator
 
@@ -53,19 +53,11 @@ def is_mid_alternating(p: Permutation) -> bool:
     """Consecutive entries alternate across the middle of the value range.
 
     For order 2k the sides are {1..k} and {k+1..2k}; for order 2k+1 the
-    pivot value k+1 belongs to both sides.
+    pivot value k+1 belongs to both sides.  Equivalently, consecutive a, b
+    have (2a-n-1)(2b-n-1) <= 0: opposite sides of (n+1)/2, or one is the pivot.
     """
-    e = p.entries
-    n = p.n
-    k = n // 2
-    low_cap = k if n % 2 == 0 else k + 1
-    high_floor = k + 1
-    for i in range(n - 1):
-        a_low, a_high = e[i] <= low_cap, e[i] >= high_floor
-        b_low, b_high = e[i + 1] <= low_cap, e[i + 1] >= high_floor
-        if not ((a_low and b_high) or (a_high and b_low)):
-            return False
-    return True
+    m = p.n + 1
+    return all((2 * a - m) * (2 * b - m) <= 0 for a, b in pairwise(p.entries))
 
 
 def delta_star(n: int) -> int:
@@ -166,18 +158,3 @@ def construct_maximin_abs(n: int) -> Permutation:
     pairs = zip(range(k + 1 + lift, n + 1), range(1 + lift, k + 1 + lift))
     return Permutation._of((1,) * lift + tuple(chain.from_iterable(pairs)))
 
-
-# Alternative odd-order closed forms in circulation that disagree with the
-# exhaustive oracle; kept for reference and surfaced in CLI metadata.
-DIVERGENT_CLOSED_FORMS = {
-    "delta_star_odd": {
-        "used": "(n^2-3)/2",
-        "divergent": "(3n^2-6n-13)/4",
-        "note": "the divergent form matches n=7 but fails exhaustive search at n=5",
-    },
-    "min_global_1costas_odd": {
-        "used": "(n^2-1)/4+1",
-        "divergent": "(n-1)^2/4+1",
-        "note": "the divergent form fails its own order-11 witness, which sums to 31",
-    },
-}

@@ -104,6 +104,7 @@ def test_triangle_past_the_order_cap_is_invalid_input(capsys):
         ("lipschitz=2", "2,4,1,3", 1),
         ("dpair=2,-3", "6,3,5,2,4,1", 0),
         ("dpair=5,-3", "5,2,7,4,1,6,3", 0),
+        ("dpair=2,-3", "1", 1),  # an empty derivative realizes no pair
     ],
 )
 def test_check_properties(capsys, prop, perm, expected):
@@ -212,9 +213,23 @@ CONSTRUCT_OUTPUTS = [
      '{"command": "construct", "inputs": {"n": 6, "s": 2}, "result": {"permutation": "3,1,2,4,5,6", '
      '"derivative": "-2,1,2,1,1", "sum_characteristic": [-2, -1, 0, 1, 2, 3]}, "metadata": {}}'),
 ]
+# The kinds with an odd-order note, at an even order, where the metadata notes nothing.
+EVEN_CONSTRUCT_OUTPUTS = [
+    (["min-local", "--n", "8"],
+     "2,3,1,4,8,5,7,6\n1,-2,3,4,-3,2,-1\n",
+     '{"command": "construct", "inputs": {"n": 8}, "result": {"permutation": "2,3,1,4,8,5,7,6", '
+     '"derivative": "1,-2,3,4,-3,2,-1", "local_variation": 4, "global_variation": 16}, "metadata": {}}'),
+    (["max-global", "--n", "8"],
+     "4,6,1,7,2,8,3,5\n2,-5,6,-5,6,-5,2\n",
+     '{"command": "construct", "inputs": {"n": 8}, "result": {"permutation": "4,6,1,7,2,8,3,5", '
+     '"derivative": "2,-5,6,-5,6,-5,2", "global_variation": 31}, "metadata": {}}'),
+]
 
 
-@pytest.mark.parametrize("argv,text,envelope", CONSTRUCT_OUTPUTS, ids=[case[0][0] for case in CONSTRUCT_OUTPUTS])
+@pytest.mark.parametrize(
+    "argv,text,envelope", CONSTRUCT_OUTPUTS + EVEN_CONSTRUCT_OUTPUTS,
+    ids=[argv[0] for argv, *_ in CONSTRUCT_OUTPUTS] + [f"{argv[0]}-{argv[-1]}" for argv, *_ in EVEN_CONSTRUCT_OUTPUTS],
+)
 def test_construct_outputs_are_pinned(capsys, argv, text, envelope):
     assert run(capsys, "construct", *argv) == (0, text, "")
     code, out, err = run(capsys, "construct", *argv, "--format", "json")
@@ -413,6 +428,9 @@ def test_k_costas_non_integer_names_the_property(capsys, argv):
         # a form matches on its name and on whether it takes a parameter
         *[(["check", "--property", text, "1,2,3"], f"error: unknown property {text!r}\n")
           for text in ("lipschitz", "dpair", "k-costas", "costas=1", "mid-alternating=2", "centrosymmetric=")],
+        (["check", "--property", "dpair=a,b", "2,4,1,3"], "error: dpair property needs an integer, got 'a'\n"),
+        (["check", "--property", "dpair=2,x", "2,4,1,3"], "error: dpair property needs an integer, got 'x'\n"),
+        (["check", "--property", "dpair=2,", "2,4,1,3"], "error: dpair property needs an integer, got ''\n"),
     ],
 )
 def test_bad_property_text_is_one_line_exit_2(capsys, argv, err):
@@ -443,6 +461,16 @@ def test_check_help_lists_each_form_once(capsys, monkeypatch):
     assert _check_help_forms(capsys, monkeypatch) == [
         "one-costas", "costas", "k-costas=K", "convex", "mid-alternating", "centrosymmetric",
         "costas-centrosymmetric", "lipschitz=L", "dpair=P,Q",
+    ]
+
+
+def test_construct_help_lists_each_construction(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # the usage on one line
+    with pytest.raises(SystemExit):
+        cli.run(["construct", "--help"])
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage.rpartition("{")[2].rstrip("}").split(",") == list(cli._CONSTRUCTIONS) == [
+        "dpair", "min-local", "max-global", "maximin", "pi", "pi-star", "realize-shift",
     ]
 
 

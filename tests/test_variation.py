@@ -98,6 +98,19 @@ def test_mid_alternating_examples():
     assert is_mid_alternating(Permutation((4, 5, 2, 7, 1, 6, 3)))
 
 
+def mid_alternating_by_sides(p):
+    """Consecutive entries on opposite sides: {1..k} and {k+1..2k}, with the pivot k+1 on both at order 2k+1."""
+    k, odd = divmod(p.n, 2)
+    low, high = range(1, k + 1 + odd), range(k + 1, p.n + 1)
+    return all((a in low and b in high) or (a in high and b in low) for a, b in zip(p.entries, p.entries[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mid_alternating_matches_its_side_definition(n):
+    for p in all_perms(n):
+        assert is_mid_alternating(p) == mid_alternating_by_sides(p), p
+
+
 def test_delta_star_values():
     assert delta_star(8) == 31
     assert delta_star(7) == 23
