@@ -89,12 +89,17 @@ def parse_int_sequence(text: str) -> tuple[int, ...]:
         try:
             values.append(int(tok))
         except ValueError:
-            digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", tok)
-            if digits:  # int() refuses more than sys.get_int_max_str_digits() digits
-                raise ValueError(f"integer out of range: token {i} has {len(digits[1])} digits, "
-                                 f"more than {sys.get_int_max_str_digits()}") from None
+            if _too_long(tok):
+                raise ValueError(f"integer out of range: token {i} {_too_long(tok)}") from None
             raise ValueError(f"not a comma-separated integer sequence: token {i} is {reprlib.repr(tok)}") from None
     return tuple(values)
+
+
+def _too_long(token: str) -> str:
+    """'has N digits, more than M' when token is an integer that int() refuses for
+    having more than sys.get_int_max_str_digits() digits, else ''."""
+    digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", token)
+    return f"has {len(digits[1])} digits, more than {sys.get_int_max_str_digits()}" if digits else ""
 
 
 def format_int_sequence(values: Iterable[int]) -> str:

@@ -7,8 +7,7 @@ accepted permutation) the pruned walk visits exactly the permutations the
 naive n!-filter would accept.  Collecting, optimizing and the longest-prefix
 search differ only in what they do at the walk's leaves.  The longest-prefix
 search asks each walk for one sequence of a given length, n first, then n-1
-and so on, so it calls back once, on its result, not at every node.  Every
-walk runs in the calling thread.
+and so on, so it calls back once, on its result, not at every node.
 
 The shipped predicates are module-level and picklable; called on a prefix
 they judge it whole.  The walker is one bit recursion carrying a bitmask of
@@ -22,13 +21,26 @@ RowsRule counts and collects walk half the tree.  Complement (v -> n+1-v)
 negates every difference, so it keeps each triangle row repeat-free or not
 and maps the accepted permutations starting with f onto those starting with
 n+1-f, reversing their lexicographic order.  A count is twice that of the
-subtrees f <= n//2, plus subtree n//2+1 when n is odd; both are counted by
-_count_rows, the walker's recursion with no prefix list and no leaf calls.
-A collect lists the same subtrees, then the first n//2 of them complemented
-and last first, which are subtrees n//2+1 (n even) or n//2+2 (n odd) to n
-in order.  Optimize walks the whole tree for its first-best witness, as its
-objective has no symmetry; convex (complement makes it concave) and other
-predicates are not reduced.
+subtrees f <= n//2, plus subtree n//2+1 when n is odd.  A collect lists the
+same subtrees, then the first n//2 of them complemented and last first,
+which are subtrees n//2+1 (n even) or n//2+2 (n odd) to n in order.
+Optimize walks the whole tree for its first-best witness, as its objective
+has no symmetry; convex (complement makes it concave) and other predicates
+are not reduced.
+
+Counts and the longest-prefix search walk their tree as tasks: _frontier
+yields, in lexicographic order, the accepted sequences of about n/3 values
+(one value below order 9) with the walker's state after each, and walking
+each task's subtree in turn is the whole walk.  A count weighs each task 2 or 1 by its first value, as
+above, and sums _count_rows, the walker's recursion with no prefix list and
+no leaf calls, over the tasks; the longest-prefix search takes the first
+task that holds a sequence of the length it looks for.  Tasks run in the
+calling process.  A walk under a RowsRule of order 9 or more still running
+after 25 ms forks one child per CPU it may use for the rest (_spread), when
+there are two or more, os can fork and no other thread runs; the parent
+reads their results in task order, so every result and witness is the
+serial walk's, and no child outlives the call.  Collect and optimize always
+run in process.
 
 SEARCHABLE is the one registry of searchable properties, each with its rule
 and order cap; `matches` counts or lists any of them, and the CLI's check
@@ -36,14 +48,20 @@ judges them with the same rules, so the two cannot disagree.
 """
 from __future__ import annotations
 
+import itertools
+import marshal
 import math
 import operator
+import os
+import reprlib
+import sys
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import convexity, triangle
 from .convexity import convex_prefix_ok
-from .perm_core import Permutation
+from .perm_core import Permutation, _too_long
 
 MAX_SEARCH_ORDER = 64
 LIST_CAP = 10  # a list holds every match, so a walker list stops here by default
@@ -127,11 +145,18 @@ def k_costas_prefix_ok(k: int) -> RowsRule:
     return RowsRule(k)
 
 
+def _root(n: int, first: int | None = None) -> tuple[int, int, int, int]:
+    """The walker's state before any value: nothing used, every value free, and
+    first (bit v for value v; every value when None) the values it may choose."""
+    values = (1 << n + 1) - 2
+    return 0, 0, values, values if first is None else first
+
+
 def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[list], Any],
-          roots: int | None = None, reach: int | None = None) -> None:
+          state: tuple[int, int, int, int], prefix: Sequence[int] = (), reach: int | None = None) -> None:
     """Visit, depth-first in ascending order, the sequences of distinct values from 1..n
-    whose every nonempty prefix prefix_ok accepts and whose first value is a bit of
-    roots (bit v for value v; every value when roots is None).
+    that extend prefix, whose every nonempty prefix prefix_ok accepts, from the walker's
+    state after prefix (see _root and _frontier).
 
     leaf(prefix) is called on each visited sequence of length at least reach
     (default n: the permutations), with the walker's own list; a true return
@@ -140,7 +165,7 @@ def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[li
     test (keep is 0) and is called on the walker's list, candidate appended.
     """
     reach = n if reach is None else reach
-    prefix: list[int] = []
+    prefix = list(prefix)
     append, pop = prefix.append, prefix.pop
     width, keep = _row_layout(prefix_ok, n)
     call = None if isinstance(prefix_ok, RowsRule) else prefix_ok
@@ -164,8 +189,7 @@ def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[li
             pop()
         return False
 
-    values = (1 << n + 1) - 2
-    visit(0, 0, values, values if roots is None else roots)
+    visit(*state)
 
 
 def _row_layout(rule: Callable[[Sequence[int]], bool], n: int) -> tuple[int, int]:
@@ -177,8 +201,8 @@ def _row_layout(rule: Callable[[Sequence[int]], bool], n: int) -> tuple[int, int
     return width, (1 << width * rows) - 1
 
 
-def _count_rows(rule: RowsRule, n: int, roots: int) -> int:
-    """The number of order-n permutations rule accepts whose first value is a bit of roots.
+def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int]) -> int:
+    """The number of order-n permutations rule accepts below the walker's state.
 
     _walk's recursion keeping no prefix and calling no leaf: each call returns
     its subtree's count, and a call with one free value left answers with one
@@ -202,7 +226,151 @@ def _count_rows(rule: RowsRule, n: int, roots: int) -> int:
             total += count(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v))
         return total
 
-    return count(0, 0, (1 << n + 1) - 2, roots)
+    return count(*state) if state[2] else 1  # no free value: the state is a whole permutation
+
+
+def _depth(n: int) -> int:
+    """The frontier depth of an order-n walk: about n/3, so tasks shrink as the tree
+    grows, or 1 below _SPREAD_ORDER, where no walk spreads and fewer tasks cost less."""
+    return max(1, n // 3) if n >= _SPREAD_ORDER else 1
+
+
+def _frontier(rule: Callable[[Sequence[int]], bool], n: int, depth: int, first: int | None = None):
+    """Yield (prefix, state) for each sequence of depth values whose every prefix rule
+    accepts and whose first value is in first (as _root), one at a time in ascending
+    order: the sequence as a tuple and the walker's state after it.
+
+    The tasks of a walk: walking each one's subtree in turn is the walk, as
+    the walker visits the sequences shorter than depth before their subtrees
+    and calls a plain predicate in the same order.  Sequences that end before
+    depth are in no task.
+    """
+    return _extend(rule, n, depth, *_row_layout(rule, n), (), _root(n, first))
+
+
+def _extend(rule, n: int, depth: int, width: int, keep: int, prefix: tuple[int, ...], state):
+    # the walker's step, a generator: _frontier's recursion
+    if len(prefix) == depth:
+        yield prefix, state
+        return
+    used, tails, free, choices = state
+    while choices:
+        low = choices & -choices
+        choices ^= low
+        v = low.bit_length() - 1
+        new = tails << v
+        if used & new:
+            continue
+        rest = free ^ low
+        new |= used
+        task = prefix + (v,)
+        if isinstance(rule, RowsRule) or rule(list(task)):
+            yield from _extend(rule, n, depth, width, keep, task,
+                               (new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)))
+
+
+# A walk under a RowsRule of order _SPREAD_ORDER or more still running after
+# _SPREAD_AFTER_S gives its remaining tasks to forked children.  Forking and
+# reaping two children costs a few ms.  Below order 9 the largest walk,
+# k-Costas K = 0 at order 8, takes about 15 ms, and gamma(13) about 4 ms
+# (2-core x86 VM, Python 3.11), so they stay in process.
+_SPREAD_ORDER = 9
+_SPREAD_AFTER_S = 0.025
+
+
+def _cpus(rule: Callable[[Sequence[int]], bool], n: int) -> list[int]:
+    """The CPUs a walk may spread over, at least two, or [] when it stays in process:
+    rule must be a RowsRule (pure, so a child can walk it for the parent), n at
+    least _SPREAD_ORDER, and os must fork and name the CPUs this process may use."""
+    if not isinstance(rule, RowsRule) or n < _SPREAD_ORDER or not hasattr(os, "fork"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    return cpus if len(cpus) > 1 else []
+
+
+def _single_threaded() -> bool:
+    """Whether no other thread runs, so fork copies no lock some thread holds."""
+    threading = sys.modules.get("threading")
+    return threading is None or threading.active_count() == 1
+
+
+def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable):
+    """Yield work(prefix, state) for each task of an order-n walk under rule, in task order.
+
+    Tasks run in process until the walk has run _SPREAD_AFTER_S; then, if the
+    walk may spread over W CPUs (_cpus) and no other thread runs, W forked
+    children take the rest, child w tasks w, w+W, ..., and the results are
+    read back in task order.  So the results, and a consumer that stops at the
+    first one it wants, are those of the serial walk whatever the split.
+    Close the generator when stopping early: that kills the children.
+    """
+    tasks = iter(tasks)
+    cpus = _cpus(rule, n)
+    deadline = time.perf_counter() + _SPREAD_AFTER_S
+    for prefix, state in tasks:
+        yield work(prefix, state)
+        if cpus and time.perf_counter() > deadline and _single_threaded():
+            yield from _forked(tasks, work, cpus)
+            return
+
+
+def _forked(tasks, work: Callable, cpus: list[int]):
+    """_spread's tasks over one forked child per CPU of cpus, each writing its results
+    to a pipe; RuntimeError when a child exits without its last record.  Every child
+    is killed and reaped before this returns or raises."""
+    import signal  # needed only here: most walks never fork
+
+    readers, pids = [], []
+    try:
+        for index in range(len(cpus)):
+            fd, child_fd = os.pipe()
+            readers.append(os.fdopen(fd, "rb"))
+            try:
+                pid = os.fork()
+                if not pid:
+                    _child(itertools.islice(tasks, index, None, len(cpus)), work, cpus[index], child_fd)
+                pids.append(pid)
+            finally:
+                os.close(child_fd)
+        for reader in itertools.cycle(readers):  # task j is child j % W's
+            try:
+                result = marshal.load(reader)
+            except EOFError:
+                raise RuntimeError("a search child process exited before reporting all its tasks") from None
+            if result is None:  # this child's share ended before task j: every task is done
+                return
+            yield result
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
+def _child(tasks, work: Callable, cpu: int, fd: int) -> None:
+    """A forked child's whole life: on cpu alone, write each task's result to fd, then None, and exit.
+
+    Left to the scheduler, two children forked from one process were seen to
+    share its CPU for their whole run (2 cores, Linux), so each is pinned.
+    """
+    status = 1
+    try:
+        os.sched_setaffinity(0, (cpu,))
+        for prefix, state in tasks:
+            os.write(fd, marshal.dumps(work(prefix, state)))
+        os.write(fd, marshal.dumps(None))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _first_reaching(rule: Callable[[Sequence[int]], bool], n: int, reach: int,
+                    prefix: tuple[int, ...], state) -> tuple[int, ...]:
+    """The first sequence of at least reach values the walk from (prefix, state) visits, or ()."""
+    found: list[tuple[int, ...]] = []
+    _walk(rule, n, lambda seq: found.append(tuple(seq)) or True, state, prefix, reach)
+    return found[0] if found else ()
 
 
 def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
@@ -210,22 +378,29 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     from 1..n whose every prefix prefix_ok accepts.
 
     Walks for length m = n, n-1, ... and stops at the first sequence of that
-    length, so the walk calls back once, on the result.  When a length-n
-    sequence exists that is one walk; otherwise each shorter m walks the
-    tree again, at most n - len(result) more walks.  Raises ValueError, as
-    SearchSpec does, unless 1 <= n <= MAX_SEARCH_ORDER.
+    length, so the walk calls back once, on the result: the walk's tasks run
+    in order until one holds such a sequence.  When a length-n sequence exists
+    that is one walk; otherwise each shorter m walks the tree again, at most
+    n - len(result) more walks.  Raises ValueError, as SearchSpec does, unless
+    1 <= n <= MAX_SEARCH_ORDER.
     """
     spec = SearchSpec(n=n, prefix_ok=prefix_ok)
-    found: list[tuple[int, ...]] = []
+    rule = spec.prefix_ok
     for reach in range(n, 0, -1):
-        _walk(spec.prefix_ok, n, lambda prefix: found.append(tuple(prefix)) or True, reach=reach)
+        tasks = _frontier(rule, n, min(_depth(n), reach))
+        hits = _spread(rule, n, tasks,
+                       lambda prefix, state, reach=reach: _first_reaching(rule, n, reach, prefix, state))
+        try:
+            found = next(filter(None, hits), ())
+        finally:
+            hits.close()
         if found:
-            return found[0]
+            return found
     return ()
 
 
-def _subtree(spec: SearchSpec, roots: int | None = None):
-    """The mode's result over the accepted permutations whose first value is a bit of roots, or all."""
+def _subtree(spec: SearchSpec, first: int | None = None):
+    """The mode's result over the accepted permutations whose first value is in first (as _root)."""
     mode = spec.mode
     better = operator.gt if spec.direction == "max" else operator.lt
     count = 0
@@ -243,7 +418,7 @@ def _subtree(spec: SearchSpec, roots: int | None = None):
             if not found or better(value, found[0][0]):
                 found[:] = [(value, full)]
 
-    _walk(spec.prefix_ok, spec.n, leaf, roots=roots)
+    _walk(spec.prefix_ok, spec.n, leaf, _root(spec.n, first))
     if mode == "count":
         return count
     return found if mode == "collect" else (found[0] if found else None)
@@ -263,7 +438,9 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     # and the middle one when n is odd
     low, middle = (1 << n // 2 + 1) - 2, 1 << n // 2 + 1 if n % 2 else 0
     if spec.mode == "count" and isinstance(rule, RowsRule):
-        return 2 * _count_rows(rule, n, low) + _count_rows(rule, n, middle)
+        # a task counts twice when its first value is at most n//2, once when the middle
+        return sum(_spread(rule, n, _frontier(rule, n, _depth(n), low | middle),
+                           lambda prefix, state: (2 if 2 * prefix[0] <= n else 1) * _count_rows(rule, n, state)))
     if spec.mode == "collect" and isinstance(rule, RowsRule):
         # complement reverses lexicographic order, so the subtrees f > (n+1)/2
         # are the first half's matches complemented, last first
@@ -308,11 +485,14 @@ PROPERTY_FORMS = tuple(name if name in TABLE_KINDS else f"{name}=K" for name in 
 
 
 def int_parameter(name: str, param: str) -> int:
-    """The integer param of the property name=param, or ValueError naming the property."""
+    """The integer param of the property name=param, or ValueError naming the property
+    and showing at most the ends of a long param."""
     try:
         return int(param)
     except ValueError:
-        raise ValueError(f"{name} property needs an integer, got {param!r}") from None
+        if _too_long(param):
+            raise ValueError(f"integer out of range: {name} property {_too_long(param)}") from None
+        raise ValueError(f"{name} property needs an integer, got {reprlib.repr(param)}") from None
 
 
 def searchable(text: str) -> Searchable | None:

@@ -431,6 +431,19 @@ def test_k_costas_non_integer_names_the_property(capsys, argv):
         (["check", "--property", "dpair=a,b", "2,4,1,3"], "error: dpair property needs an integer, got 'a'\n"),
         (["check", "--property", "dpair=2,x", "2,4,1,3"], "error: dpair property needs an integer, got 'x'\n"),
         (["check", "--property", "dpair=2,", "2,4,1,3"], "error: dpair property needs an integer, got ''\n"),
+        # a long parameter: a valid integer past int()'s digit cap is out of range, other text is cut short
+        (["check", "--property", "lipschitz=" + "1" * 5000, "1,2"],
+         "error: integer out of range: lipschitz property has 5000 digits, more than 4300\n"),
+        (["check", "--property", "k-costas=" + "1" * 5000, "1,2"],
+         "error: integer out of range: k-costas property has 5000 digits, more than 4300\n"),
+        (["count", "--property", "k-costas=-" + "1" * 5000, "--n", "5"],
+         "error: integer out of range: k-costas property has 5000 digits, more than 4300\n"),
+        (["check", "--property", "dpair=" + "1" * 5000 + ",2", "1,2"],
+         "error: integer out of range: dpair property has 5000 digits, more than 4300\n"),
+        (["check", "--property", "lipschitz=" + "x" * 5000, "1,2"],
+         "error: lipschitz property needs an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
+        (["check", "--property", "dpair=" + "x" * 5000, "1,2"],
+         "error: dpair property needs two values, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
     ],
 )
 def test_bad_property_text_is_one_line_exit_2(capsys, argv, err):

@@ -1,17 +1,20 @@
 import itertools
 import math
+import os
 import pickle
+import signal
 
 import pytest
 
 from permderiv import CountRow, Permutation, SearchSpec, count_costas, count_one_costas, table
-from permderiv import search
+from permderiv import costas, search
 from permderiv.search import (
     convex_prefix_ok,
     costas_prefix_ok,
     k_costas_prefix_ok,
     one_costas_prefix_ok,
 )
+from test_costas import reference_gamma
 
 
 def naive_count(n, full_predicate):
@@ -214,17 +217,18 @@ def test_rows_rules_walk_as_their_wrapped_calls(n):
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
 def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
     # RowsRule counts and collects walk first entries f <= n//2 and the odd
-    # middle, counts in _count_rows and collects in _subtree; every other
-    # search is one _subtree walk over the whole tree (root mask None)
+    # middle, counts as the tasks of one _frontier and collects in _subtree;
+    # every other search is one _subtree walk over the whole tree (first None)
     walked = []
-    count_rows, subtree = search._count_rows, search._subtree
-    monkeypatch.setattr(search, "_count_rows", lambda rule, n, roots: walked.append(roots) or count_rows(rule, n, roots))
-    monkeypatch.setattr(search, "_subtree", lambda spec, roots=None: walked.append(roots) or subtree(spec, roots))
+    frontier, subtree = search._frontier, search._subtree
+    monkeypatch.setattr(search, "_frontier",
+                        lambda rule, n, depth, first=None: walked.append(first) or frontier(rule, n, depth, first))
+    monkeypatch.setattr(search, "_subtree", lambda spec, first=None: walked.append(first) or subtree(spec, first))
 
     def first_values():
-        # the first values each recorded root mask allows, None for the whole tree
-        return [f for roots in walked
-                for f in ([None] if roots is None else [v for v in range(1, n + 1) if roots >> v & 1])]
+        # the first values each recorded mask allows, None for the whole tree
+        return [f for first in walked
+                for f in ([None] if first is None else [v for v in range(1, n + 1) if first >> v & 1])]
 
     for mode in ("count", "collect"):
         walked.clear()
@@ -241,6 +245,101 @@ def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, first
         walked.clear()
         search.enumerate(spec)
         assert first_values() == [None]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Spread every RowsRule walk after its first task over three forked children,
+    more than most boxes have cores; the pids forked, in order."""
+    monkeypatch.setattr(search, "_SPREAD_ORDER", 1)
+    monkeypatch.setattr(search, "_SPREAD_AFTER_S", 0.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    forked, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spread_counts_equal_the_serial_walk(forks, n):
+    for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(n))):
+        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == search._count_rows(rule, n, search._root(n))
+    assert forks
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_spread_gamma_matches_reference_search(forks, n):
+    assert costas.gamma(n) == reference_gamma(n)
+    # the search forks only when the first task holds no witness
+    assert len(forks) == (3 if n in (9, 11, 12, 13) else 0)
+    assert_no_child_left()
+
+
+def test_spread_needs_two_cpus_and_fork(forks, monkeypatch):
+    spread = [search.count_costas(8), costas.gamma(12)]
+    assert forks
+    forks.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [search.count_costas(8), costas.gamma(12)] == spread
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [search.count_costas(8), costas.gamma(12)] == spread
+    assert forks == []
+
+
+def test_spread_on_the_real_cpus_stays_serial_below_its_order(monkeypatch):
+    # pinned to this process's own CPUs; n = 8 never forks whatever the time
+    monkeypatch.setattr(search, "_SPREAD_AFTER_S", 0.0)
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    assert search.count_one_costas(8).count == 3936
+    assert forked == []
+    assert search.count_one_costas(9).count == 23264
+    cpus = len(os.sched_getaffinity(0))
+    assert len(forked) == (cpus if cpus > 1 else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ("killed", "exits"))
+def test_lost_child_raises(forks, monkeypatch, how):
+    # one child that ends without its last record, killed or exiting, fails the walk
+    parent, count_rows = os.getpid(), search._count_rows
+
+    def lost(rule, n, state):
+        if os.getpid() != parent and len(forks) == 1:  # the second child: forked after one pid was recorded
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(0)
+        return count_rows(rule, n, state)
+
+    monkeypatch.setattr(search, "_count_rows", lost)
+    with pytest.raises(RuntimeError, match="exited before reporting all its tasks"):
+        search.count_costas(9)
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_spread_search_stopped_early_leaves_no_child(forks):
+    tasks = search._frontier(costas_prefix_ok, 9, 3)
+    hits = search._spread(costas_prefix_ok, 9, tasks, lambda prefix, state: prefix)
+    assert next(hits) == (1, 2, 4)
+    assert next(hits) == (1, 2, 5)
+    hits.close()
+    assert len(forks) == 3
+    assert_no_child_left()
 
 
 def test_search_does_not_import_costas():
