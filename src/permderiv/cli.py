@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 from . import costas, dpair, search, triangle, variation, verify
 from .perm_core import (
     Permutation,
+    _shown,
     derivative,
     format_int_sequence,
     integrate,
@@ -72,7 +73,7 @@ def _check_property(text: str):
     for form, entry in _CHECK_ONLY.items():
         if form.partition("=")[:2] == (name, sep):
             return entry(param) if sep else entry
-    raise ValueError(f"unknown property {text!r}")
+    raise ValueError(f"unknown property {_shown(text)!r}")
 
 
 def _table_output(rows, **fields) -> CommandOutput:

@@ -102,6 +102,12 @@ def _too_long(token: str) -> str:
     return f"has {len(digits[1])} digits, more than {sys.get_int_max_str_digits()}" if digits else ""
 
 
+def _shown(text: str) -> str:
+    """text when 30 characters or fewer, else its ends around '...', as reprlib.repr
+    shows a long string inside its quotes: what an error message echoes of it."""
+    return text if len(text) <= 30 else f"{text[:12]}...{text[-13:]}"
+
+
 def format_int_sequence(values: Iterable[int]) -> str:
     return ",".join(str(v) for v in values)
 

@@ -17,30 +17,30 @@ rather than a rescan; any other predicate has no rows to test and is called
 on the full prefix at each extension.  convex_prefix_ok is one: convexity's
 own non-decreasing-differences rule, the one is_convex applies.
 
-RowsRule counts and collects walk half the tree.  Complement (v -> n+1-v)
-negates every difference, so it keeps each triangle row repeat-free or not
-and maps the accepted permutations starting with f onto those starting with
-n+1-f, reversing their lexicographic order.  A count is twice that of the
-subtrees f <= n//2, plus subtree n//2+1 when n is odd.  A collect lists the
-same subtrees, then the first n//2 of them complemented and last first,
-which are subtrees n//2+1 (n even) or n//2+2 (n odd) to n in order.
+Every search walks its tree as tasks: _frontier yields, in lexicographic
+order, the accepted sequences of about n/3 values (one value below order 9)
+with the walker's state after each, and walking each task's subtree in turn
+is the whole walk.  RowsRule counts and collects take only the tasks whose
+first value f is at most n//2, or the middle n//2+1 when n is odd.
+Complement (v -> n+1-v) negates every difference, so it keeps each triangle
+row repeat-free or not and maps the accepted permutations starting with f
+onto those starting with n+1-f, reversing their lexicographic order.  A count
+weighs each task 2 or 1 by its first value and sums _count_rows, the walker's
+recursion with no prefix list and no leaf calls, over the tasks; a collect
+lists the matches walked, then those with f <= n//2 complemented, last first.
 Optimize walks the whole tree for its first-best witness, as its objective
 has no symmetry; convex (complement makes it concave) and other predicates
-are not reduced.
+are not reduced.  The longest-prefix search takes the first task that holds
+a sequence of the length it looks for.
 
-Counts and the longest-prefix search walk their tree as tasks: _frontier
-yields, in lexicographic order, the accepted sequences of about n/3 values
-(one value below order 9) with the walker's state after each, and walking
-each task's subtree in turn is the whole walk.  A count weighs each task 2 or 1 by its first value, as
-above, and sums _count_rows, the walker's recursion with no prefix list and
-no leaf calls, over the tasks; the longest-prefix search takes the first
-task that holds a sequence of the length it looks for.  Tasks run in the
-calling process.  A walk under a RowsRule of order 9 or more still running
-after 25 ms forks one child per CPU it may use for the rest (_spread), when
-there are two or more, os can fork and no other thread runs; the parent
-reads their results in task order, so every result and witness is the
-serial walk's, and no child outlives the call.  Collect and optimize always
-run in process.
+Tasks run in the calling process.  A count or longest-prefix walk under a
+RowsRule of order 9 or more still running after 25 ms forks one child per
+CPU it may use for the rest (_spread), when there are two or more, os can
+fork and no other thread runs; the parent reads their results in task order,
+so every result and witness is the serial walk's, and no child outlives the
+call.  Collect and optimize always run in process: sending their lists of
+matches back would cost more than a second CPU saves, and an objective, like
+a plain predicate, may be impure.
 
 SEARCHABLE is the one registry of searchable properties, each with its rule
 and order cap; `matches` counts or lists any of them, and the CLI's check
@@ -61,7 +61,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import convexity, triangle
 from .convexity import convex_prefix_ok
-from .perm_core import Permutation, _too_long
+from .perm_core import Permutation, _shown, _too_long
 
 MAX_SEARCH_ORDER = 64
 LIST_CAP = 10  # a list holds every match, so a walker list stops here by default
@@ -316,36 +316,44 @@ def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable
 
 def _forked(tasks, work: Callable, cpus: list[int]):
     """_spread's tasks over one forked child per CPU of cpus, each writing its results
-    to a pipe; RuntimeError when a child exits without its last record.  Every child
-    is killed and reaped before this returns or raises."""
+    to a pipe; RuntimeError when a child exits without its last record.  When a pipe
+    or fork fails (say EAGAIN at the process limit), before any child has reported,
+    the children forked so far are dropped and the tasks go on in process.  Every
+    child is killed and reaped before this returns, raises or goes on alone."""
     import signal  # needed only here: most walks never fork
 
     readers, pids = [], []
     try:
-        for index in range(len(cpus)):
-            fd, child_fd = os.pipe()
-            readers.append(os.fdopen(fd, "rb"))
-            try:
-                pid = os.fork()
-                if not pid:
-                    _child(itertools.islice(tasks, index, None, len(cpus)), work, cpus[index], child_fd)
-                pids.append(pid)
-            finally:
-                os.close(child_fd)
-        for reader in itertools.cycle(readers):  # task j is child j % W's
-            try:
-                result = marshal.load(reader)
-            except EOFError:
-                raise RuntimeError("a search child process exited before reporting all its tasks") from None
-            if result is None:  # this child's share ended before task j: every task is done
-                return
-            yield result
+        try:
+            for index in range(len(cpus)):
+                fd, child_fd = os.pipe()
+                readers.append(os.fdopen(fd, "rb"))
+                try:
+                    pid = os.fork()
+                    if not pid:
+                        _child(itertools.islice(tasks, index, None, len(cpus)), work, cpus[index], child_fd)
+                    pids.append(pid)
+                finally:
+                    os.close(child_fd)
+        except OSError:  # no pipe or process to spare: the tasks go on below, in process
+            pass
+        else:
+            for reader in itertools.cycle(readers):  # task j is child j % W's; ends by return or raise
+                try:
+                    result = marshal.load(reader)
+                except EOFError:
+                    raise RuntimeError("a search child process exited before reporting all its tasks") from None
+                if result is None:  # this child's share ended before task j: every task is done
+                    return
+                yield result
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for reader in readers:
             reader.close()
+    for prefix, state in tasks:  # reached only when a pipe or fork failed
+        yield work(prefix, state)
 
 
 def _child(tasks, work: Callable, cpu: int, fd: int) -> None:
@@ -399,9 +407,23 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     return ()
 
 
-def _subtree(spec: SearchSpec, first: int | None = None):
-    """The mode's result over the accepted permutations whose first value is in first (as _root)."""
-    mode = spec.mode
+# workers is accepted and ignored, here and in count_costas, only because the
+# benchmark's workers=nproc ops (bench/workloads.py) pass it; it goes with them.
+def enumerate(spec: SearchSpec, workers: int = 1):
+    """Run the pruned search; result shape depends on spec.mode.
+
+    count -> int; collect -> list of Permutation in ascending entry order;
+    optimize -> (best value, Permutation witness) or None when nothing is
+    accepted.
+    """
+    n, rule, mode = spec.n, spec.prefix_ok, spec.mode
+    # complement symmetry, see the module docstring: first values 1..n//2 and the odd middle
+    halved = isinstance(rule, RowsRule) and mode != "optimize"
+    tasks = _frontier(rule, n, _depth(n), (1 << (n + 1) // 2 + 1) - 2 if halved else None)
+    if mode == "count" and halved:
+        # a task counts twice when its first value is at most n//2, once when the middle
+        return sum(_spread(rule, n, tasks,
+                           lambda prefix, state: (2 if 2 * prefix[0] <= n else 1) * _count_rows(rule, n, state)))
     better = operator.gt if spec.direction == "max" else operator.lt
     count = 0
     found: list = []  # collect: every accepted tuple; optimize: the best (value, tuple)
@@ -418,42 +440,16 @@ def _subtree(spec: SearchSpec, first: int | None = None):
             if not found or better(value, found[0][0]):
                 found[:] = [(value, full)]
 
-    _walk(spec.prefix_ok, spec.n, leaf, _root(spec.n, first))
+    for prefix, state in tasks:
+        _walk(rule, n, leaf, state, prefix)
     if mode == "count":
         return count
-    return found if mode == "collect" else (found[0] if found else None)
-
-
-# workers is accepted and ignored, here and in count_costas, only because the
-# benchmark's workers=nproc ops (bench/workloads.py) pass it; it goes with them.
-def enumerate(spec: SearchSpec, workers: int = 1):
-    """Run the pruned search; result shape depends on spec.mode.
-
-    count -> int; collect -> list of Permutation in ascending entry order;
-    optimize -> (best value, Permutation witness) or None when nothing is
-    accepted.
-    """
-    n, rule = spec.n, spec.prefix_ok
-    # complement symmetry, see the module docstring: first values 1..n//2,
-    # and the middle one when n is odd
-    low, middle = (1 << n // 2 + 1) - 2, 1 << n // 2 + 1 if n % 2 else 0
-    if spec.mode == "count" and isinstance(rule, RowsRule):
-        # a task counts twice when its first value is at most n//2, once when the middle
-        return sum(_spread(rule, n, _frontier(rule, n, _depth(n), low | middle),
-                           lambda prefix, state: (2 if 2 * prefix[0] <= n else 1) * _count_rows(rule, n, state)))
-    if spec.mode == "collect" and isinstance(rule, RowsRule):
-        # complement reverses lexicographic order, so the subtrees f > (n+1)/2
-        # are the first half's matches complemented, last first
-        half = _subtree(spec, low)
-        flip = (n + 1).__sub__
-        result = half + _subtree(spec, middle) + [tuple(map(flip, t)) for t in reversed(half)]
-    else:
-        result = _subtree(spec)
-    if spec.mode == "collect":
-        return [Permutation._of(t) for t in result]
-    if spec.mode == "optimize" and result is not None:
-        return result[0], Permutation._of(result[1])
-    return result
+    if mode == "collect":
+        if halved:  # the matches with first value above the middle: the first half's complemented, last first
+            flip = (n + 1).__sub__
+            found += [tuple(map(flip, t)) for t in reversed(found) if 2 * t[0] <= n]
+        return [Permutation._of(t) for t in found]
+    return (found[0][0], Permutation._of(found[0][1])) if found else None
 
 
 class Searchable(NamedTuple):
@@ -507,10 +503,10 @@ def searchable(text: str) -> Searchable | None:
 def _checked(text: str, n: int, collect: bool = False) -> Searchable:
     prop = searchable(text)
     if prop is None:
-        raise ValueError(f"property {text!r} is not searchable (use {', '.join(PROPERTY_FORMS[:-1])} or {PROPERTY_FORMS[-1]})")
+        raise ValueError(f"property {_shown(text)!r} is not searchable (use {', '.join(PROPERTY_FORMS[:-1])} or {PROPERTY_FORMS[-1]})")
     cap = min(prop.cap, prop.list_cap) if collect else prop.cap
     if not isinstance(n, int) or not 1 <= n <= cap:
-        raise ValueError(f"order for {text} must be 1..{cap}, got {n}")
+        raise ValueError(f"order for {_shown(text)} must be 1..{cap}, got {n}")
     if prop.k is not None:
         check_k(prop.k, n)
     return prop

@@ -444,6 +444,19 @@ def test_k_costas_non_integer_names_the_property(capsys, argv):
          "error: lipschitz property needs an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
         (["check", "--property", "dpair=" + "x" * 5000, "1,2"],
          "error: dpair property needs two values, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
+        # a long property text is cut to 30 characters, as a long parameter is; 30 or fewer stay whole
+        (["check", "--property", "x" * 5000, "1,2"], "error: unknown property 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
+        (["check", "--property", "x" * 31, "1,2"], "error: unknown property 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
+        (["check", "--property", "x" * 30, "1,2"], f"error: unknown property {'x' * 30!r}\n"),
+        *[([command, "--property", "y" * 5000, "--n", "3"],
+           "error: property 'yyyyyyyyyyyy...yyyyyyyyyyyyy' is not searchable"
+           " (use one-costas, costas, k-costas=K or convex)\n") for command in ("count", "enumerate")],
+        (["count", "--property", "k-costas=" + "0" * 4000 + "1", "--n", "20"],
+         "error: order for k-costas=000...0000000000001 must be 1..12, got 20\n"),
+        (["enumerate", "--property", "k-costas=" + "0" * 4000 + "1", "--n", "20"],
+         "error: order for k-costas=000...0000000000001 must be 1..10, got 20\n"),
+        (["count", "--property", "k-costas=" + "0" * 20 + "1", "--n", "20"],
+         "error: order for k-costas=000000000000000000001 must be 1..12, got 20\n"),
     ],
 )
 def test_bad_property_text_is_one_line_exit_2(capsys, argv, err):

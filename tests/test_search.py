@@ -1,3 +1,4 @@
+import errno
 import itertools
 import math
 import os
@@ -216,19 +217,18 @@ def test_rows_rules_walk_as_their_wrapped_calls(n):
 
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
 def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
-    # RowsRule counts and collects walk first entries f <= n//2 and the odd
-    # middle, counts as the tasks of one _frontier and collects in _subtree;
-    # every other search is one _subtree walk over the whole tree (first None)
+    # every search walks the tasks of one _frontier call: RowsRule counts and
+    # collects those of first entries f <= n//2 and the odd middle, every other
+    # search those of the whole tree (first None)
     walked = []
-    frontier, subtree = search._frontier, search._subtree
+    frontier = search._frontier
     monkeypatch.setattr(search, "_frontier",
                         lambda rule, n, depth, first=None: walked.append(first) or frontier(rule, n, depth, first))
-    monkeypatch.setattr(search, "_subtree", lambda spec, first=None: walked.append(first) or subtree(spec, first))
 
     def first_values():
-        # the first values each recorded mask allows, None for the whole tree
-        return [f for first in walked
-                for f in ([None] if first is None else [v for v in range(1, n + 1) if first >> v & 1])]
+        # the first values the one recorded mask allows, None for the whole tree
+        [first] = walked
+        return [None] if first is None else [v for v in range(1, n + 1) if first >> v & 1]
 
     for mode in ("count", "collect"):
         walked.clear()
@@ -245,6 +245,23 @@ def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, first
         walked.clear()
         search.enumerate(spec)
         assert first_values() == [None]
+
+
+@pytest.mark.parametrize(
+    "n,rule",
+    [(9, one_costas_prefix_ok), (9, k_costas_prefix_ok(2)), (9, costas_prefix_ok), (10, costas_prefix_ok)],
+    ids=["one-costas-9", "k-costas-2-9", "costas-9", "costas-10"],
+)
+def test_collect_and_optimize_over_tasks_equal_one_serial_walk(n, rule):
+    assert search._depth(n) == 3
+    serial = []
+    search._walk(rule, n, lambda prefix: serial.append(tuple(prefix)), search._root(n))
+    assert [p.entries for p in search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect"))] == serial
+    for direction, pick in (("max", max), ("min", min)):
+        best = pick(map(weighted, serial))
+        first_best = next(t for t in serial if weighted(t) == best)
+        spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted, direction=direction)
+        assert search.enumerate(spec) == (best, Permutation(first_best))
 
 
 @pytest.fixture
@@ -329,6 +346,24 @@ def test_lost_child_raises(forks, monkeypatch, how):
     with pytest.raises(RuntimeError, match="exited before reporting all its tasks"):
         search.count_costas(9)
     assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_failed_fork_walks_on_in_process(forks, monkeypatch):
+    # the second fork of the first spread walk fails, as at the process limit, and
+    # then every first one: the child forked is dropped and the parent walks alone
+    fork = os.fork
+
+    def second_fails():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    for rule in (one_costas_prefix_ok, costas_prefix_ok, k_costas_prefix_ok(2)):
+        assert search.enumerate(SearchSpec(n=9, prefix_ok=rule)) == search._count_rows(rule, 9, search._root(9))
+    assert [costas.gamma(n) for n in (9, 11)] == [reference_gamma(n) for n in (9, 11)]
+    assert len(forks) == 1
     assert_no_child_left()
 
 
