@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ class CommandOutput:
 def _dpair(param: str):
     values = param.split(",")
     if len(values) != 2:
-        raise ValueError(f"dpair property needs two values, got {reprlib.repr(param)}")
+        raise ValueError(f"dpair property needs two values, got {_shown(param)!r}")
     return partial(dpair.is_dpair_realization, pair=dpair.DPair(*(search.int_parameter("dpair", v) for v in values)))
 
 

@@ -56,7 +56,6 @@ Everything else that builds a permutation goes through the checking constructor.
 from __future__ import annotations
 
 import re
-import reprlib
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
@@ -91,7 +90,7 @@ def parse_int_sequence(text: str) -> tuple[int, ...]:
         except ValueError:
             if _too_long(tok):
                 raise ValueError(f"integer out of range: token {i} {_too_long(tok)}") from None
-            raise ValueError(f"not a comma-separated integer sequence: token {i} is {reprlib.repr(tok)}") from None
+            raise ValueError(f"not a comma-separated integer sequence: token {i} is {_shown(tok)!r}") from None
     return tuple(values)
 
 
@@ -103,8 +102,8 @@ def _too_long(token: str) -> str:
 
 
 def _shown(text: str) -> str:
-    """text when 30 characters or fewer, else its ends around '...', as reprlib.repr
-    shows a long string inside its quotes: what an error message echoes of it."""
+    """text when 30 characters or fewer, else its first 12 and last 13 characters around
+    '...': what an error message echoes of a parameter, token or property text."""
     return text if len(text) <= 30 else f"{text[:12]}...{text[-13:]}"
 
 

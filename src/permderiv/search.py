@@ -20,27 +20,33 @@ own non-decreasing-differences rule, the one is_convex applies.
 Every search walks its tree as tasks: _frontier yields, in lexicographic
 order, the accepted sequences of about n/3 values (one value below order 9)
 with the walker's state after each, and walking each task's subtree in turn
-is the whole walk.  RowsRule counts and collects take only the tasks whose
-first value f is at most n//2, or the middle n//2+1 when n is odd.
+is the whole walk.  RowsRule searches take only the tasks whose first value
+f is at most n//2, or the middle n//2+1 when n is odd.
 Complement (v -> n+1-v) negates every difference, so it keeps each triangle
 row repeat-free or not and maps the accepted permutations starting with f
 onto those starting with n+1-f, reversing their lexicographic order.  A count
 weighs each task 2 or 1 by its first value and sums _count_rows, the walker's
 recursion with no prefix list and no leaf calls, over the tasks; a collect
 lists the matches walked, then those with f <= n//2 complemented, last first.
-Optimize walks the whole tree for its first-best witness, as its objective
-has no symmetry; convex (complement makes it concave) and other predicates
-are not reduced.  The longest-prefix search takes the first task that holds
-a sequence of the length it looks for.
+An optimize scores each match walked and, when f <= n//2, its complement,
+once each: the walked matches come first in lexicographic order and the
+complements last first, so the first best is the first best walked unless
+the last complement of the best value is strictly better.  Convex
+(complement makes it concave) and other predicates are not reduced.  The
+longest-prefix search takes the first task that holds a sequence of the
+length it looks for.
 
-Tasks run in the calling process.  A count or longest-prefix walk under a
-RowsRule of order 9 or more still running after 25 ms forks one child per
-CPU it may use for the rest (_spread), when there are two or more, os can
-fork and no other thread runs; the parent reads their results in task order,
-so every result and witness is the serial walk's, and no child outlives the
-call.  Collect and optimize always run in process: sending their lists of
-matches back would cost more than a second CPU saves, and an objective, like
-a plain predicate, may be impure.
+A count under a RowsRule of order 9 or more spreads its tasks over the CPUs
+the process may use from its first task, and a longest-prefix walk once it
+has run 25 ms in process (_spread), when there are two or more CPUs, os can
+fork and no other thread runs.  Over W CPUs the calling process walks tasks
+0, W, 2W, ... itself, and W-1 forked children, each pinned to a CPU of its
+own, walk the others, child w tasks w, w+W, ...; the parent reads their
+results in task order, so every result and witness is the serial walk's, and
+no child outlives the call.  Collect and
+optimize always run in process: sending their lists of matches back would
+cost more than a second CPU saves, and an objective, like a plain predicate,
+may be impure.
 
 SEARCHABLE is the one registry of searchable properties, each with its rule
 and order cap; `matches` counts or lists any of them, and the CLI's check
@@ -53,7 +59,6 @@ import marshal
 import math
 import operator
 import os
-import reprlib
 import sys
 import time
 from dataclasses import dataclass
@@ -269,11 +274,13 @@ def _extend(rule, n: int, depth: int, width: int, keep: int, prefix: tuple[int, 
                                (new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)))
 
 
-# A walk under a RowsRule of order _SPREAD_ORDER or more still running after
-# _SPREAD_AFTER_S gives its remaining tasks to forked children.  Forking and
-# reaping two children costs a few ms.  Below order 9 the largest walk,
-# k-Costas K = 0 at order 8, takes about 15 ms, and gamma(13) about 4 ms
-# (2-core x86 VM, Python 3.11), so they stay in process.
+# A walk under a RowsRule of order _SPREAD_ORDER or more spreads over forked
+# children: a count from its first task, a longest-prefix walk once its tasks
+# have run _SPREAD_AFTER_S in process.  Forking and reaping a child costs a few
+# ms.  Below order 9 the largest walk, k-Costas K = 0 at order 8, takes about
+# 15 ms, so it stays in process.  From order 9 the smallest count, Costas 9,
+# takes about 44 ms serially, but gamma(9..13) finish in under 5 ms: forked at
+# once, gamma(13) took 6.6 ms, not 4.6 (2-core x86 VM, Python 3.11).
 _SPREAD_ORDER = 9
 _SPREAD_AFTER_S = 0.025
 
@@ -294,38 +301,47 @@ def _single_threaded() -> bool:
     return threading is None or threading.active_count() == 1
 
 
-def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable):
+def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable, lead: float | None = None):
     """Yield work(prefix, state) for each task of an order-n walk under rule, in task order.
 
-    Tasks run in process until the walk has run _SPREAD_AFTER_S; then, if the
-    walk may spread over W CPUs (_cpus) and no other thread runs, W forked
-    children take the rest, child w tasks w, w+W, ..., and the results are
-    read back in task order.  So the results, and a consumer that stops at the
+    When the walk may spread over W CPUs (_cpus) and no other thread runs, it
+    spreads from its first task, or, given a lead, once the tasks run in
+    process have taken lead seconds: W-1 forked children and the parent share
+    the rest (_forked).  So the results, and a consumer that stops at the
     first one it wants, are those of the serial walk whatever the split.
     Close the generator when stopping early: that kills the children.
     """
     tasks = iter(tasks)
     cpus = _cpus(rule, n)
-    deadline = time.perf_counter() + _SPREAD_AFTER_S
-    for prefix, state in tasks:
-        yield work(prefix, state)
-        if cpus and time.perf_counter() > deadline and _single_threaded():
-            yield from _forked(tasks, work, cpus)
+    if cpus and lead is not None:
+        deadline = time.perf_counter() + lead
+        for prefix, state in tasks:
+            yield work(prefix, state)
+            if time.perf_counter() > deadline:
+                break
+        else:
             return
+    if cpus and _single_threaded():
+        yield from _forked(tasks, work, cpus)
+    else:
+        for prefix, state in tasks:
+            yield work(prefix, state)
 
 
 def _forked(tasks, work: Callable, cpus: list[int]):
-    """_spread's tasks over one forked child per CPU of cpus, each writing its results
-    to a pipe; RuntimeError when a child exits without its last record.  When a pipe
-    or fork fails (say EAGAIN at the process limit), before any child has reported,
-    the children forked so far are dropped and the tasks go on in process.  Every
-    child is killed and reaped before this returns, raises or goes on alone."""
+    """_spread's tasks over W = len(cpus) workers: the parent walks tasks 0, W, 2W, ...
+    and child w, forked and pinned to cpus[w], tasks w, w+W, ..., writing its results
+    to a pipe the parent reads in task order; RuntimeError when a child exits without
+    its last record.  When a pipe or fork fails (say EAGAIN at the process limit),
+    before any task has run, the children forked so far are dropped and the tasks go
+    on in process.  Every child is killed and reaped before this returns, raises or
+    goes on alone."""
     import signal  # needed only here: most walks never fork
 
     readers, pids = [], []
     try:
         try:
-            for index in range(len(cpus)):
+            for index in range(1, len(cpus)):
                 fd, child_fd = os.pipe()
                 readers.append(os.fdopen(fd, "rb"))
                 try:
@@ -338,14 +354,17 @@ def _forked(tasks, work: Callable, cpus: list[int]):
         except OSError:  # no pipe or process to spare: the tasks go on below, in process
             pass
         else:
-            for reader in itertools.cycle(readers):  # task j is child j % W's; ends by return or raise
-                try:
-                    result = marshal.load(reader)
-                except EOFError:
-                    raise RuntimeError("a search child process exited before reporting all its tasks") from None
-                if result is None:  # this child's share ended before task j: every task is done
-                    return
-                yield result
+            for prefix, state in itertools.islice(tasks, 0, None, len(cpus)):  # the parent's share
+                yield work(prefix, state)
+                for reader in readers:  # then the children's tasks up to the parent's next
+                    try:
+                        result = marshal.load(reader)
+                    except EOFError:
+                        raise RuntimeError("a search child process exited before reporting all its tasks") from None
+                    if result is None:  # this child's share ended before its task: every task is done
+                        return
+                    yield result
+            return
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -360,7 +379,9 @@ def _child(tasks, work: Callable, cpu: int, fd: int) -> None:
     """A forked child's whole life: on cpu alone, write each task's result to fd, then None, and exit.
 
     Left to the scheduler, two children forked from one process were seen to
-    share its CPU for their whole run (2 cores, Linux), so each is pinned.
+    share its CPU for their whole run (2 cores, Linux), so each child is
+    pinned, to a CPU other than the first; the parent, which walks its own
+    share, stays unpinned (pinning it to the first measured no different).
     """
     status = 1
     try:
@@ -396,8 +417,8 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     rule = spec.prefix_ok
     for reach in range(n, 0, -1):
         tasks = _frontier(rule, n, min(_depth(n), reach))
-        hits = _spread(rule, n, tasks,
-                       lambda prefix, state, reach=reach: _first_reaching(rule, n, reach, prefix, state))
+        hits = _spread(rule, n, tasks, lambda prefix, state, reach=reach: _first_reaching(rule, n, reach, prefix, state),
+                       _SPREAD_AFTER_S)
         try:
             found = next(filter(None, hits), ())
         finally:
@@ -418,27 +439,31 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     """
     n, rule, mode = spec.n, spec.prefix_ok, spec.mode
     # complement symmetry, see the module docstring: first values 1..n//2 and the odd middle
-    halved = isinstance(rule, RowsRule) and mode != "optimize"
+    halved = isinstance(rule, RowsRule)
     tasks = _frontier(rule, n, _depth(n), (1 << (n + 1) // 2 + 1) - 2 if halved else None)
     if mode == "count" and halved:
         # a task counts twice when its first value is at most n//2, once when the middle
         return sum(_spread(rule, n, tasks,
                            lambda prefix, state: (2 if 2 * prefix[0] <= n else 1) * _count_rows(rule, n, state)))
-    better = operator.gt if spec.direction == "max" else operator.lt
+    better, tied = (operator.gt, operator.ge) if spec.direction == "max" else (operator.lt, operator.le)
+    flip = (n + 1).__sub__
     count = 0
-    found: list = []  # collect: every accepted tuple; optimize: the best (value, tuple)
+    found: list = []  # collect: every accepted tuple
+    # optimize: the first best (value, tuple) walked, and the first best among the
+    # complements, met last first, so the last of equal value
+    walked = mirrored = None
 
     def leaf(prefix: list) -> None:
-        nonlocal count
+        nonlocal count, walked, mirrored
         if mode == "count":
             count += 1
         elif mode == "collect":
             found.append(tuple(prefix))
         else:
             full = tuple(prefix)
-            value = spec.objective(full)
-            if not found or better(value, found[0][0]):
-                found[:] = [(value, full)]
+            walked = _kept(walked, full, spec.objective, better)
+            if halved and 2 * full[0] <= n:
+                mirrored = _kept(mirrored, tuple(map(flip, full)), spec.objective, tied)
 
     for prefix, state in tasks:
         _walk(rule, n, leaf, state, prefix)
@@ -446,10 +471,17 @@ def enumerate(spec: SearchSpec, workers: int = 1):
         return count
     if mode == "collect":
         if halved:  # the matches with first value above the middle: the first half's complemented, last first
-            flip = (n + 1).__sub__
             found += [tuple(map(flip, t)) for t in reversed(found) if 2 * t[0] <= n]
         return [Permutation._of(t) for t in found]
-    return (found[0][0], Permutation._of(found[0][1])) if found else None
+    if mirrored and better(mirrored[0], walked[0]):  # the walked best comes first, so wins a tie
+        walked = mirrored
+    return (walked[0], Permutation._of(walked[1])) if walked else None
+
+
+def _kept(best: tuple | None, full: tuple[int, ...], objective: Callable, beats: Callable) -> tuple:
+    """(objective(full), full) if best is None or that value beats best's, else best."""
+    value = objective(full)
+    return (value, full) if best is None or beats(value, best[0]) else best
 
 
 class Searchable(NamedTuple):
@@ -488,7 +520,7 @@ def int_parameter(name: str, param: str) -> int:
     except ValueError:
         if _too_long(param):
             raise ValueError(f"integer out of range: {name} property {_too_long(param)}") from None
-        raise ValueError(f"{name} property needs an integer, got {reprlib.repr(param)}") from None
+        raise ValueError(f"{name} property needs an integer, got {_shown(param)!r}") from None
 
 
 def searchable(text: str) -> Searchable | None:

@@ -457,6 +457,20 @@ def test_k_costas_non_integer_names_the_property(capsys, argv):
          "error: order for k-costas=000...0000000000001 must be 1..10, got 20\n"),
         (["count", "--property", "k-costas=" + "0" * 20 + "1", "--n", "20"],
          "error: order for k-costas=000000000000000000001 must be 1..12, got 20\n"),
+        # a parameter or token of 29 or 30 characters stays whole too, 31 is cut
+        *[(["check", "--property", "lipschitz=" + "x" * size, "1,2"],
+           f"error: lipschitz property needs an integer, got {'x' * size!r}\n") for size in (29, 30)],
+        (["check", "--property", "lipschitz=" + "x" * 31, "1,2"],
+         "error: lipschitz property needs an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n"),
+        (["check", "--property", "dpair=" + "x" * 30, "1,2"], f"error: dpair property needs two values, got {'x' * 30!r}\n"),
+        (["check", "--property", "dpair=1," + "x" * 30, "1,2"],
+         f"error: dpair property needs an integer, got {'x' * 30!r}\n"),
+        (["count", "--property", "k-costas=" + "y" * 30, "--n", "5"],
+         f"error: k-costas property needs an integer, got {'y' * 30!r}\n"),
+        (["check", "--property", "costas", "1," + "z" * 30],
+         f"error: not a comma-separated integer sequence: token 2 is {'z' * 30!r}\n"),
+        (["check", "--property", "costas", "1," + "z" * 31],
+         "error: not a comma-separated integer sequence: token 2 is 'zzzzzzzzzzzz...zzzzzzzzzzzzz'\n"),
     ],
 )
 def test_bad_property_text_is_one_line_exit_2(capsys, argv, err):

@@ -1,8 +1,10 @@
 import errno
 import itertools
 import math
+import operator
 import os
 import pickle
+import random
 import signal
 
 import pytest
@@ -217,9 +219,9 @@ def test_rows_rules_walk_as_their_wrapped_calls(n):
 
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
 def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
-    # every search walks the tasks of one _frontier call: RowsRule counts and
-    # collects those of first entries f <= n//2 and the odd middle, every other
-    # search those of the whole tree (first None)
+    # every search walks the tasks of one _frontier call: RowsRule counts,
+    # collects and optimizes those of first entries f <= n//2 and the odd
+    # middle, every other search those of the whole tree (first None)
     walked = []
     frontier = search._frontier
     monkeypatch.setattr(search, "_frontier",
@@ -230,12 +232,11 @@ def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, first
         [first] = walked
         return [None] if first is None else [v for v in range(1, n + 1) if first >> v & 1]
 
-    for mode in ("count", "collect"):
+    for mode in ("count", "collect", "optimize"):
         walked.clear()
-        search.enumerate(SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode=mode))
+        search.enumerate(SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode=mode, objective=weighted))
         assert first_values() == firsts
     unreduced = (
-        SearchSpec(n=n, prefix_ok=costas_prefix_ok, mode="optimize", objective=weighted),
         SearchSpec(n=n, prefix_ok=convex_prefix_ok),
         SearchSpec(n=n, prefix_ok=convex_prefix_ok, mode="collect"),
         SearchSpec(n=n, prefix_ok=lambda prefix: True),
@@ -264,10 +265,48 @@ def test_collect_and_optimize_over_tasks_equal_one_serial_walk(n, rule):
         assert search.enumerate(spec) == (best, Permutation(first_best))
 
 
+def first_best(matches, objective, direction):
+    """The n!-filter's answer: the best value over matches and the first match reaching it."""
+    values = list(map(objective, matches))
+    best = (max if direction == "max" else min)(values)
+    return best, Permutation(matches[values.index(best)])
+
+
+def tie_heavy_objectives(n):
+    """Objectives with many best matches: constant, the first entry, and weights in -1..1."""
+    rng = random.Random(n)
+    weights = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(3)]
+    linear = [lambda t, w=w: sum(map(operator.mul, w, t)) for w in weights]
+    return [lambda t: 0, lambda t: t[0], *linear]
+
+
+@pytest.mark.parametrize("name", [name for name, (rule, _) in SHIPPED_RULES.items() if isinstance(rule, search.RowsRule)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_halved_optimize_is_the_filters_first_best_under_ties(n, name):
+    # optimize walks first values up to the middle and scores each match's complement
+    # too; ties between a walked match and a complement go to the walked one
+    rule, full = SHIPPED_RULES[name]
+    matches = [t for t in itertools.permutations(range(1, n + 1)) if full(t)]
+    for objective in tie_heavy_objectives(n):
+        for direction in ("max", "min"):
+            spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=objective, direction=direction)
+            assert search.enumerate(spec) == first_best(matches, objective, direction)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_optimize_calls_its_objective_once_per_match(n):
+    for rule, _ in SHIPPED_RULES.values():
+        calls = []
+        spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=lambda t: calls.append(t) or 0)
+        search.enumerate(spec)
+        assert len(calls) == len(set(calls)) == search.enumerate(SearchSpec(n=n, prefix_ok=rule))
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """Spread every RowsRule walk after its first task over three forked children,
-    more than most boxes have cores; the pids forked, in order."""
+    """Spread every RowsRule count from its first task, and longest-prefix walk after
+    it, over the parent and two forked children, three CPUs, more than most boxes
+    have; the pids forked, in order."""
     monkeypatch.setattr(search, "_SPREAD_ORDER", 1)
     monkeypatch.setattr(search, "_SPREAD_AFTER_S", 0.0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -301,7 +340,7 @@ def test_spread_counts_equal_the_serial_walk(forks, n):
 def test_spread_gamma_matches_reference_search(forks, n):
     assert costas.gamma(n) == reference_gamma(n)
     # the search forks only when the first task holds no witness
-    assert len(forks) == (3 if n in (9, 11, 12, 13) else 0)
+    assert len(forks) == (2 if n in (9, 11, 12, 13) else 0)
     assert_no_child_left()
 
 
@@ -318,15 +357,14 @@ def test_spread_needs_two_cpus_and_fork(forks, monkeypatch):
 
 
 def test_spread_on_the_real_cpus_stays_serial_below_its_order(monkeypatch):
-    # pinned to this process's own CPUs; n = 8 never forks whatever the time
-    monkeypatch.setattr(search, "_SPREAD_AFTER_S", 0.0)
+    # pinned to this process's own CPUs; n = 8 never forks, n = 9 forks one child per CPU but the first
     forked, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
     assert search.count_one_costas(8).count == 3936
     assert forked == []
     assert search.count_one_costas(9).count == 23264
     cpus = len(os.sched_getaffinity(0))
-    assert len(forked) == (cpus if cpus > 1 else 0)
+    assert len(forked) == cpus - 1
     assert_no_child_left()
 
 
@@ -345,7 +383,7 @@ def test_lost_child_raises(forks, monkeypatch, how):
     monkeypatch.setattr(search, "_count_rows", lost)
     with pytest.raises(RuntimeError, match="exited before reporting all its tasks"):
         search.count_costas(9)
-    assert len(forks) == 3
+    assert len(forks) == 2
     assert_no_child_left()
 
 
@@ -373,7 +411,19 @@ def test_spread_search_stopped_early_leaves_no_child(forks):
     assert next(hits) == (1, 2, 4)
     assert next(hits) == (1, 2, 5)
     hits.close()
-    assert len(forks) == 3
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_counts_spread_from_their_first_task_and_gamma_after_its_lead(forks, monkeypatch):
+    # a lead no walk here reaches: counts fork at once, gamma never
+    monkeypatch.setattr(search, "_SPREAD_ORDER", 9)
+    monkeypatch.setattr(search, "_SPREAD_AFTER_S", 60.0)
+    assert search.count_costas(9) == 760
+    assert len(forks) == 2
+    forks.clear()
+    assert costas.gamma(12) == reference_gamma(12)
+    assert forks == []
     assert_no_child_left()
 
 
