@@ -43,10 +43,9 @@ fork and no other thread runs.  Over W CPUs the calling process walks tasks
 0, W, 2W, ... itself, and W-1 forked children, each pinned to a CPU of its
 own, walk the others, child w tasks w, w+W, ...; the parent reads their
 results in task order, so every result and witness is the serial walk's, and
-no child outlives the call.  Collect and
-optimize always run in process: sending their lists of matches back would
-cost more than a second CPU saves, and an objective, like a plain predicate,
-may be impure.
+no child outlives the call.  Collect and optimize always run in process:
+sending their lists of matches back would cost more than a second CPU saves,
+and an objective, like a plain predicate, may be impure.
 
 SEARCHABLE is the one registry of searchable properties, each with its rule
 and order cap; `matches` counts or lists any of them, and the CLI's check
