@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -27,9 +26,6 @@ from .perm_core import (
     realize_shift,
     sum_characteristic,
 )
-
-_NEGATIVE_SEQUENCE = re.compile(r"-\d+(?:,-?\d+)*")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one-line diagnostics, exit code 2
@@ -103,11 +99,12 @@ def _cmd_integrate(args) -> CommandOutput:
 
 
 def _cmd_triangle(args) -> CommandOutput:
-    t = triangle.build(parse_int_sequence(args.sequence))
+    values = parse_int_sequence(args.sequence)
+    t = triangle.build(values)
     return CommandOutput(
         lines=[triangle.render(t, args.render)],
         result=triangle.to_json_dict(t),
-        inputs={"sequence": args.sequence, "render": args.render},
+        inputs={"sequence": format_int_sequence(values), "render": args.render},
     )
 
 
@@ -315,8 +312,8 @@ def run(argv=None) -> int:
     """Parse argv, dispatch, print the result; returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # A leading space hides comma-joined negative sequences from option parsing.
-    argv = [" " + token if _NEGATIVE_SEQUENCE.fullmatch(token) else token for token in argv]
+    # A leading space hides a value such as -1,+2 from option parsing; no option starts with - and a digit.
+    argv = [" " + token if token[:1] == "-" and token[1:2].isdigit() else token for token in argv]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,14 +14,16 @@ they judge it whole.  The walker is one bit recursion carrying a bitmask of
 used differences per difference-triangle row.  It never calls a RowsRule but
 tests its rows inline, so extending a prefix costs a few bit operations
 rather than a rescan; any other predicate has no rows to test and is called
-on the full prefix at each extension.  convex_prefix_ok is one: convexity's
-own non-decreasing-differences rule, the one is_convex applies.
+on the full prefix at each extension, by the walker alone.  convex_prefix_ok
+is one: convexity's own non-decreasing-differences rule, the one is_convex
+applies.
 
 Every search walks its tree as tasks: _frontier yields, in lexicographic
 order, the accepted sequences of about n/3 values (one value below order 9)
 with the walker's state after each, and walking each task's subtree in turn
-is the whole walk.  RowsRule searches take only the tasks whose first value
-f is at most n//2, or the middle n//2+1 when n is odd.
+is the whole walk.  A plain predicate's walk is one task, the root, since it
+never spreads and is never halved.  RowsRule searches take only the tasks
+whose first value f is at most n//2, or the middle n//2+1 when n is odd.
 Complement (v -> n+1-v) negates every difference, so it keeps each triangle
 row repeat-free or not and maps the accepted permutations starting with f
 onto those starting with n+1-f, reversing their lexicographic order.  A count
@@ -29,12 +31,12 @@ weighs each task 2 or 1 by its first value and sums _count_rows, the walker's
 recursion with no prefix list and no leaf calls, over the tasks; a collect
 lists the matches walked, then those with f <= n//2 complemented, last first.
 An optimize scores each match walked and, when f <= n//2, its complement,
-once each: the walked matches come first in lexicographic order and the
-complements last first, so the first best is the first best walked unless
-the last complement of the best value is strictly better.  Convex
-(complement makes it concave) and other predicates are not reduced.  The
-longest-prefix search takes the first task that holds a sequence of the
-length it looks for.
+once each, and keeps one (value, permutation): a scored one replaces it when
+its value is strictly better, or equal and lexicographically smaller, so it
+ends as the first best in ascending order whatever order the complements
+come in.  Convex (complement makes it concave) and other predicates are not
+reduced.  The longest-prefix search takes the first task that holds a
+sequence of the length it looks for.
 
 A count under a RowsRule of order 9 or more spreads its tasks over the CPUs
 the process may use from its first task, and a longest-prefix walk once it
@@ -245,14 +247,15 @@ def _frontier(rule: Callable[[Sequence[int]], bool], n: int, depth: int, first: 
     order: the sequence as a tuple and the walker's state after it.
 
     The tasks of a walk: walking each one's subtree in turn is the walk, as
-    the walker visits the sequences shorter than depth before their subtrees
-    and calls a plain predicate in the same order.  Sequences that end before
-    depth are in no task.
+    the walker visits the sequences shorter than depth before their subtrees.
+    Sequences that end before depth are in no task.  A RowsRule is tested
+    inline, as _walk tests it; any other rule gets one task, the root, so
+    _walk is the only caller of a plain predicate.
     """
-    return _extend(rule, n, depth, *_row_layout(rule, n), (), _root(n, first))
+    return _extend(n, depth if isinstance(rule, RowsRule) else 0, *_row_layout(rule, n), (), _root(n, first))
 
 
-def _extend(rule, n: int, depth: int, width: int, keep: int, prefix: tuple[int, ...], state):
+def _extend(n: int, depth: int, width: int, keep: int, prefix: tuple[int, ...], state):
     # the walker's step, a generator: _frontier's recursion
     if len(prefix) == depth:
         yield prefix, state
@@ -267,10 +270,8 @@ def _extend(rule, n: int, depth: int, width: int, keep: int, prefix: tuple[int, 
             continue
         rest = free ^ low
         new |= used
-        task = prefix + (v,)
-        if isinstance(rule, RowsRule) or rule(list(task)):
-            yield from _extend(rule, n, depth, width, keep, task,
-                               (new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)))
+        yield from _extend(n, depth, width, keep, prefix + (v,),
+                           (new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)))
 
 
 # A walk under a RowsRule of order _SPREAD_ORDER or more spreads over forked
@@ -287,32 +288,28 @@ _SPREAD_AFTER_S = 0.025
 def _cpus(rule: Callable[[Sequence[int]], bool], n: int) -> list[int]:
     """The CPUs a walk may spread over, at least two, or [] when it stays in process:
     rule must be a RowsRule (pure, so a child can walk it for the parent), n at
-    least _SPREAD_ORDER, and os must fork and name the CPUs this process may use."""
-    if not isinstance(rule, RowsRule) or n < _SPREAD_ORDER or not hasattr(os, "fork"):
+    least _SPREAD_ORDER, os must fork and name the CPUs this process may use, and
+    no other thread may run, so fork copies no lock some thread holds."""
+    threading = sys.modules.get("threading")
+    if (not isinstance(rule, RowsRule) or n < _SPREAD_ORDER or not hasattr(os, "fork")
+            or threading is not None and threading.active_count() > 1):
         return []
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     return cpus if len(cpus) > 1 else []
 
 
-def _single_threaded() -> bool:
-    """Whether no other thread runs, so fork copies no lock some thread holds."""
-    threading = sys.modules.get("threading")
-    return threading is None or threading.active_count() == 1
-
-
 def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable, lead: float | None = None):
     """Yield work(prefix, state) for each task of an order-n walk under rule, in task order.
 
-    When the walk may spread over W CPUs (_cpus) and no other thread runs, it
-    spreads from its first task, or, given a lead, once the tasks run in
-    process have taken lead seconds: W-1 forked children and the parent share
-    the rest (_forked).  So the results, and a consumer that stops at the
-    first one it wants, are those of the serial walk whatever the split.
-    Close the generator when stopping early: that kills the children.
+    When the walk may spread over W CPUs (_cpus), it spreads from its first
+    task, or, given a lead, once the tasks run in process have taken lead
+    seconds: W-1 forked children and the parent share the rest (_forked).
+    So the results, and a consumer that stops at the first one it wants, are
+    those of the serial walk whatever the split.  Close the generator when
+    stopping early: that kills the children.
     """
     tasks = iter(tasks)
-    cpus = _cpus(rule, n)
-    if cpus and lead is not None:
+    if lead is not None:
         deadline = time.perf_counter() + lead
         for prefix, state in tasks:
             yield work(prefix, state)
@@ -320,7 +317,8 @@ def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable
                 break
         else:
             return
-    if cpus and _single_threaded():
+    cpus = _cpus(rule, n)
+    if cpus:
         yield from _forked(tasks, work, cpus)
     else:
         for prefix, state in tasks:
@@ -444,25 +442,24 @@ def enumerate(spec: SearchSpec, workers: int = 1):
         # a task counts twice when its first value is at most n//2, once when the middle
         return sum(_spread(rule, n, tasks,
                            lambda prefix, state: (2 if 2 * prefix[0] <= n else 1) * _count_rows(rule, n, state)))
-    better, tied = (operator.gt, operator.ge) if spec.direction == "max" else (operator.lt, operator.le)
+    better = operator.gt if spec.direction == "max" else operator.lt
     flip = (n + 1).__sub__
     count = 0
     found: list = []  # collect: every accepted tuple
-    # optimize: the first best (value, tuple) walked, and the first best among the
-    # complements, met last first, so the last of equal value
-    walked = mirrored = None
+    best = None  # optimize: the (value, tuple) of the first best in ascending order
 
     def leaf(prefix: list) -> None:
-        nonlocal count, walked, mirrored
+        nonlocal count, best
         if mode == "count":
             count += 1
         elif mode == "collect":
             found.append(tuple(prefix))
         else:
             full = tuple(prefix)
-            walked = _kept(walked, full, spec.objective, better)
-            if halved and 2 * full[0] <= n:
-                mirrored = _kept(mirrored, tuple(map(flip, full)), spec.objective, tied)
+            for t in (full, tuple(map(flip, full))) if halved and 2 * full[0] <= n else (full,):
+                value = spec.objective(t)
+                if best is None or better(value, best[0]) or value == best[0] and t < best[1]:
+                    best = value, t
 
     for prefix, state in tasks:
         _walk(rule, n, leaf, state, prefix)
@@ -472,15 +469,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
         if halved:  # the matches with first value above the middle: the first half's complemented, last first
             found += [tuple(map(flip, t)) for t in reversed(found) if 2 * t[0] <= n]
         return [Permutation._of(t) for t in found]
-    if mirrored and better(mirrored[0], walked[0]):  # the walked best comes first, so wins a tie
-        walked = mirrored
-    return (walked[0], Permutation._of(walked[1])) if walked else None
-
-
-def _kept(best: tuple | None, full: tuple[int, ...], objective: Callable, beats: Callable) -> tuple:
-    """(objective(full), full) if best is None or that value beats best's, else best."""
-    value = objective(full)
-    return (value, full) if best is None or beats(value, best[0]) else best
+    return (best[0], Permutation._of(best[1])) if best else None
 
 
 class Searchable(NamedTuple):

@@ -74,6 +74,23 @@ def test_triangle_json(capsys):
     assert "runtime_s" in envelope["metadata"]
 
 
+@pytest.mark.parametrize(
+    "argv,out",
+    [(("integrate", "-1,+2"), "2,1,3\n"), (("integrate", "+1,-2"), "2,3,1\n"), (("triangle", "-1,+5,3"), "-1 5 3\n6 -2\n4\n")],
+    ids=["integrate-minus-plus", "integrate-plus-minus", "triangle-minus-plus"],
+)
+def test_sequences_starting_with_a_negative_value_are_values(capsys, argv, out):
+    # any token starting with - and a digit is a value, whatever signs its later values carry
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_triangle_json_echoes_the_parsed_sequence(capsys):
+    for text in ("-1,5,3", "-1, +5, 3"):
+        code, out, _ = run(capsys, "triangle", text, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"sequence": "-1,5,3", "render": "plain"}
+
+
 def test_triangle_duplicate_values(capsys):
     code, _, err = run(capsys, "triangle", "1,2,1")
     assert code == 2

@@ -1,4 +1,5 @@
 import errno
+import functools
 import itertools
 import math
 import operator
@@ -6,6 +7,7 @@ import os
 import pickle
 import random
 import signal
+import threading
 
 import pytest
 
@@ -65,8 +67,10 @@ def weighted(t):
     return sum(i * v for i, v in enumerate(t, 1)) % 7
 
 
+@functools.cache
 def naive_walk_calls(n, prefix_ok):
-    """The prefixes a plain depth-first walk over first entries hands prefix_ok, in order."""
+    """The prefixes a plain depth-first walk over first entries hands prefix_ok, in order
+    (one list per input, shared by the tests that read it)."""
     calls = []
 
     def walk(prefix):
@@ -348,6 +352,17 @@ def test_spread_needs_two_cpus_and_fork(forks, monkeypatch):
     spread = [search.count_costas(8), costas.gamma(12)]
     assert forks
     forks.clear()
+    # another thread is alive: fork would copy any lock it holds, so nothing forks
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert [search.count_costas(8), costas.gamma(12)] == spread
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert [search.count_costas(8), costas.gamma(12)] == spread
     monkeypatch.delattr(os, "fork")
@@ -586,18 +601,20 @@ def test_shipped_rules_collect_and_optimize_match_filter(n, name):
 
 @pytest.mark.parametrize("mode", ("count", "collect", "optimize"))
 def test_plain_callable_sees_the_naive_walks_prefixes(mode):
-    calls = []
+    # order 9 is past depth-1 tasks: a RowsRule would walk depth-3 ones there
+    for n, full in ((6, naive_is_one_costas), (9, naive_is_costas)):
+        calls = []
 
-    def recorded(prefix):
-        calls.append(tuple(prefix))
-        return naive_is_one_costas(prefix)
+        def recorded(prefix):
+            calls.append(tuple(prefix))
+            return full(prefix)
 
-    spec = SearchSpec(n=6, prefix_ok=recorded, mode=mode, objective=weighted)
-    search.enumerate(spec)
-    assert calls == naive_walk_calls(6, naive_is_one_costas)
+        spec = SearchSpec(n=n, prefix_ok=recorded, mode=mode, objective=weighted)
+        search.enumerate(spec)
+        assert calls == naive_walk_calls(n, full)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_longest_prefix_stops_at_the_first_permutation(n):
     # reach n: the walk hands a plain callable the naive walk's prefixes up to
     # and including the first accepted length-n one, then stops
