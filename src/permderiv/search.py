@@ -14,9 +14,8 @@ they judge it whole.  The walker is one bit recursion carrying a bitmask of
 used differences per difference-triangle row.  It never calls a RowsRule but
 tests its rows inline, so extending a prefix costs a few bit operations
 rather than a rescan; any other predicate has no rows to test and is called
-on the full prefix at each extension, by the walker alone.  convex_prefix_ok
-is one: convexity's own non-decreasing-differences rule, the one is_convex
-applies.
+on the full prefix at each extension.  convex_prefix_ok is one: convexity's
+own non-decreasing-differences rule, the one is_convex applies.
 
 Every search walks its tree as tasks: _frontier yields, in lexicographic
 order, the accepted sequences of about n/3 values (one value below order 9)
