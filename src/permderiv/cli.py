@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 from . import costas, dpair, search, triangle, variation, verify
 from .perm_core import (
     Permutation,
+    _parse_int,
     _shown,
     derivative,
     format_int_sequence,
@@ -28,6 +29,11 @@ from .perm_core import (
 )
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # type=int options read ASCII decimal only; argparse still names the type int in its error
+        self.register("type", int, _parse_int)
+
     def error(self, message):  # one-line diagnostics, exit code 2
         raise ValueError(message)
 
@@ -313,7 +319,7 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # A leading space hides a value such as -1,+2 from option parsing; no option starts with - and a digit.
-    argv = [" " + token if token[:1] == "-" and token[1:2].isdigit() else token for token in argv]
+    argv = [" " + token if token[:1] == "-" and "0" <= token[1:2] <= "9" else token for token in argv]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

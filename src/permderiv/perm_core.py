@@ -79,14 +79,14 @@ class InconsistentTree(ValueError):
 
 
 def parse_int_sequence(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated integer sequence; the empty string is ()."""
-    text = text.strip()
-    if not text:
+    """Parse a comma-separated sequence of integers, each as _parse_int reads it; the
+    empty string, or ASCII whitespace alone, is ()."""
+    if not text.strip(" \t\n\r\f\v"):
         return ()
     values = []
     for i, tok in enumerate(text.split(","), 1):
         try:
-            values.append(int(tok))
+            values.append(_parse_int(tok))
         except ValueError:
             if _too_long(tok):
                 raise ValueError(f"integer out of range: token {i} {_too_long(tok)}") from None
@@ -94,10 +94,22 @@ def parse_int_sequence(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+# An integer as the command line takes it: ASCII digits, an optional sign, ASCII whitespace around.
+_DECIMAL = re.compile(r"\s*[+-]?(\d+)\s*", re.ASCII)
+
+
+def _parse_int(text: str) -> int:
+    """text as an int, or ValueError unless it is a _DECIMAL.  int() alone would also
+    read other scripts' digits (١ is 1) and underscores between digits (1_0 is 10)."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not an ASCII decimal integer: {_shown(text)!r}")
+    return int(text)
+
+
 def _too_long(token: str) -> str:
-    """'has N digits, more than M' when token is an integer that int() refuses for
+    """'has N digits, more than M' when token is a _DECIMAL that int() refuses for
     having more than sys.get_int_max_str_digits() digits, else ''."""
-    digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", token)
+    digits = _DECIMAL.fullmatch(token)
     return f"has {len(digits[1])} digits, more than {sys.get_int_max_str_digits()}" if digits else ""
 
 

@@ -27,7 +27,8 @@ Complement (v -> n+1-v) negates every difference, so it keeps each triangle
 row repeat-free or not and maps the accepted permutations starting with f
 onto those starting with n+1-f, reversing their lexicographic order.  A count
 weighs each task 2 or 1 by its first value and sums _count_rows, the walker's
-recursion with no prefix list and no leaf calls, over the tasks; a collect
+recursion with no prefix list and no leaf calls, over the tasks (under a
+row-1 rule it carries only the last value, not per-row tails); a collect
 lists the matches walked, then those with f <= n//2 complemented, last first.
 An optimize scores each match walked and, when f <= n//2, its complement,
 once each, and keeps one (value, permutation): a scored one replaces it when
@@ -66,7 +67,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import convexity, triangle
 from .convexity import convex_prefix_ok
-from .perm_core import Permutation, _shown, _too_long
+from .perm_core import Permutation, _parse_int, _shown, _too_long
 
 MAX_SEARCH_ORDER = 64
 LIST_CAP = 10  # a list holds every match, so a walker list stops here by default
@@ -211,9 +212,23 @@ def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int]) -> int
 
     _walk's recursion keeping no prefix and calling no leaf: each call returns
     its subtree's count, and a call with one free value left answers with one
-    bit test.
+    bit test.  A row-1 rule (k == 1) below the root carries only the last
+    value in place of tails: choices already drops every value whose
+    difference repeats, so each candidate just records its difference, and
+    the value left after it is tested inline, with no call.
     """
     width, keep = _row_layout(rule, n)
+
+    def count_row1(used: int, last: int, free: int, choices: int) -> int:
+        total = 0
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            v = low.bit_length() - 1
+            rest = free ^ low
+            new = used | low << n - last
+            total += count_row1(new, v, rest, rest & ~(new >> n - v)) if rest & rest - 1 else not rest & new >> n - v
+        return total
 
     def count(used: int, tails: int, free: int, choices: int) -> int:
         if not free & free - 1:  # the last value: does its difference in each row repeat?
@@ -231,7 +246,12 @@ def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int]) -> int
             total += count(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v))
         return total
 
-    return count(*state) if state[2] else 1  # no free value: the state is a whole permutation
+    used, tails, free, choices = state
+    if not free:  # the state is a whole permutation
+        return 1
+    if rule.k == 1 and tails:  # tails is bit n - last, and 0 only at the root
+        return count_row1(used, n + 1 - tails.bit_length(), free, choices)
+    return count(*state)
 
 
 def _depth(n: int) -> int:
@@ -503,7 +523,7 @@ def int_parameter(name: str, param: str) -> int:
     """The integer param of the property name=param, or ValueError naming the property
     and showing at most the ends of a long param."""
     try:
-        return int(param)
+        return _parse_int(param)
     except ValueError:
         if _too_long(param):
             raise ValueError(f"integer out of range: {name} property {_too_long(param)}") from None

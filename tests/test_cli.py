@@ -84,6 +84,41 @@ def test_sequences_starting_with_a_negative_value_are_values(capsys, argv, out):
     assert run(capsys, *argv) == (0, out, "")
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("derive", "2,1_0,3"), "not a comma-separated integer sequence: token 2 is '1_0'"),
+        (("triangle", "١,٢"), "not a comma-separated integer sequence: token 1 is '١'"),
+        (("derive", "1,2\u3000"), "not a comma-separated integer sequence: token 2 is '2\\u3000'"),
+        (("triangle", "-١,٢"), "the following arguments are required: sequence"),
+        (("count", "--property", "one-costas", "--n", "0_7"), "argument --n: invalid int value: '0_7'"),
+        (("count", "--property", "one-costas", "--n", "٧"), "argument --n: invalid int value: '٧'"),
+        (("table", "--kind", "costas", "--max-n", "1_0"), "argument --max-n: invalid int value: '1_0'"),
+        (("construct", "dpair", "--a", "1_2", "--b", "5"), "argument --a: invalid int value: '1_2'"),
+        (("count", "--property", "k-costas=0_1", "--n", "7"), "k-costas property needs an integer, got '0_1'"),
+        (("check", "--property", "lipschitz=١", "1,2"), "lipschitz property needs an integer, got '١'"),
+        (("check", "--property", "dpair=1,٢", "1,2"), "dpair property needs an integer, got '٢'"),
+    ],
+    ids=["underscore-token", "arabic-indic-tokens", "unicode-space", "minus-arabic-indic", "underscore-n",
+         "arabic-indic-n", "underscore-max-n", "underscore-a", "underscore-k", "arabic-indic-lipschitz",
+         "arabic-indic-dpair"],
+)
+def test_integers_are_ascii_decimal_only(capsys, argv, err):
+    # int() alone reads 1_0 as 10 and ١ as 1; the command line takes ASCII digits and sign only
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [(("derive", " 2, 1"), "-1\n"), (("derive", "\t2,+1 "), "-1\n"),
+     (("count", "--property", "one-costas", "--n", " 7 "), "n=7 total=5040 count=788 fraction=15.6\n"),
+     (("count", "--property", "k-costas= +1", "--n", "7"), "n=7 total=5040 count=788 fraction=15.6\n")],
+    ids=["spaces", "tab-and-sign", "spaced-n", "spaced-signed-k"],
+)
+def test_integers_take_a_sign_and_ascii_whitespace(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_triangle_json_echoes_the_parsed_sequence(capsys):
     for text in ("-1,5,3", "-1, +5, 3"):
         code, out, _ = run(capsys, "triangle", text, "--format", "json")

@@ -1,3 +1,4 @@
+import collections
 import errno
 import functools
 import itertools
@@ -204,6 +205,21 @@ def test_reduced_counts_equal_the_unreduced_walk(n):
     for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(n))):
         whole = search.enumerate(SearchSpec(n=n, prefix_ok=lambda prefix, rule=rule: rule(prefix)))
         assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == whole
+
+
+@pytest.mark.parametrize("rule", [one_costas_prefix_ok, k_costas_prefix_ok(1)], ids=["one-costas", "k-costas-1"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row1_counts_from_every_depth_equal_the_filter(n, rule):
+    # a row-1 count below the root carries only the last value; from every depth,
+    # the root (0), one free value left (n-1) and a whole permutation (n) among them,
+    # it counts the permutations with the task's prefix and distinct differences
+    accepted = [t for t in itertools.permutations(range(1, n + 1)) if naive_is_one_costas(t)]
+    for depth in range(n + 1):
+        expected = collections.Counter(t[:depth] for t in accepted)
+        tasks = list(search._frontier(rule, n, depth))
+        assert tasks
+        for prefix, state in tasks:
+            assert search._count_rows(rule, n, state) == expected[prefix]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -466,7 +482,8 @@ def test_costas_count_at_order_12_is_published_value():
 @pytest.mark.slow
 def test_one_costas_count_at_order_12():
     # the count the derivative-side walk of test_derivative_side_count.py
-    # also gives (in about 140 s): about 25 s, run with pytest -m slow
+    # also gives (in about 140 s): 5.0-5.6 s on two Xeon cores (Python 3.11),
+    # run with pytest -m slow
     assert count_one_costas(12).count == 8_725_320
 
 
