@@ -20,6 +20,7 @@ from .perm_core import (
     Permutation,
     _parse_int,
     _shown,
+    _too_long,
     derivative,
     format_int_sequence,
     integrate,
@@ -28,11 +29,20 @@ from .perm_core import (
     sum_characteristic,
 )
 
+def _int_option(text: str) -> int:
+    """A type=int option's value, read as ASCII decimal only.  A bad value is echoed
+    cut to its ends (_shown); a digit string too long for int() is out of range."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        reason = f"integer out of range: {_too_long(text)}" if _too_long(text) else f"invalid int value: {_shown(text)!r}"
+        raise argparse.ArgumentTypeError(reason) from None
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # type=int options read ASCII decimal only; argparse still names the type int in its error
-        self.register("type", int, _parse_int)
+        self.register("type", int, _int_option)
 
     def error(self, message):  # one-line diagnostics, exit code 2
         raise ValueError(message)

@@ -26,10 +26,17 @@ whose first value f is at most n//2, or the middle n//2+1 when n is odd.
 Complement (v -> n+1-v) negates every difference, so it keeps each triangle
 row repeat-free or not and maps the accepted permutations starting with f
 onto those starting with n+1-f, reversing their lexicographic order.  A count
-weighs each task 2 or 1 by its first value and sums _count_rows, the walker's
-recursion with no prefix list and no leaf calls, over the tasks (under a
-row-1 rule it carries only the last value, not per-row tails); a collect
-lists the matches walked, then those with f <= n//2 complemented, last first.
+also uses reverse, which turns each row into that row reversed and negated.
+For n >= 2 reverse makes the matches with p1 < pn half of all, and among
+those reverse-complement, which maps (p1, pn) to (n+1-pn, n+1-p1), swaps the
+ones with p1+pn < n+1 and the ones with p1+pn > n+1.  So a count sums
+_count_rows, the walker's recursion with no prefix list and no leaf calls,
+over the tasks, weighing each match by its last value pn: 4 when
+f < pn < n+1-f, 2 when pn = n+1-f > f, 0 otherwise.  The middle's tasks
+weigh nothing; order 1's one task counts once.  Under a row-1 rule the
+recursion carries only the last value, not per-row tails.  Collect and
+optimize use complement alone.  A collect lists the matches walked, then
+those with f <= n//2 complemented, last first.
 An optimize scores each match walked and, when f <= n//2, its complement,
 once each, and keeps one (value, permutation): a scored one replaces it when
 its value is strictly better, or equal and lexicographically smaller, so it
@@ -207,41 +214,58 @@ def _row_layout(rule: Callable[[Sequence[int]], bool], n: int) -> tuple[int, int
     return width, (1 << width * rows) - 1
 
 
-def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int]) -> int:
-    """The number of order-n permutations rule accepts below the walker's state.
+def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int], first: int | None = None) -> int:
+    """The number of order-n permutations rule accepts below the walker's state or,
+    given the task's first value f, their sum weighed by last value: 4 when it is
+    strictly between f and n+1-f, 2 when it is n+1-f > f, 0 otherwise.
 
+    Reverse and complement keep rule, so over the tasks of first value f <= n//2
+    and the odd middle that weighed sum is the count (see the module docstring).
+    A state that is a whole permutation counts 1 either way: it is order 1's one
+    task, and holds no last value when rule keeps no row (k <= 0).
     _walk's recursion keeping no prefix and calling no leaf: each call returns
-    its subtree's count, and a call with one free value left answers with one
-    bit test.  A row-1 rule (k == 1) below the root carries only the last
-    value in place of tails: choices already drops every value whose
-    difference repeats, so each candidate just records its difference, and
-    the value left after it is tested inline, with no call.
+    its subtree's sum, a candidate that leaves no free value in f+1..n+1-f is
+    cut, and a call with one free value left answers with one bit test.  A
+    row-1 rule (k == 1) below the root carries only the last value in place of
+    tails: choices already drops every value whose difference repeats, so each
+    candidate just records its difference, and the value left after it is
+    tested inline, with no call.
     """
     width, keep = _row_layout(rule, n)
+    # the values a match may end with; each weighs heavy, or light when it is edge
+    if first is None:
+        window, edge, heavy, light = (1 << n + 1) - 2, 0, 1, 1
+    else:
+        window, edge, heavy, light = max(0, (1 << n + 2 - first) - (1 << first + 1)), 1 << n + 1 - first, 4, 2
 
     def count_row1(used: int, last: int, free: int, choices: int) -> int:
         total = 0
         while choices:
             low = choices & -choices
             choices ^= low
-            v = low.bit_length() - 1
             rest = free ^ low
+            if not rest & window:
+                continue
+            v = low.bit_length() - 1
             new = used | low << n - last
-            total += count_row1(new, v, rest, rest & ~(new >> n - v)) if rest & rest - 1 else not rest & new >> n - v
+            if rest & rest - 1:
+                total += count_row1(new, v, rest, rest & ~(new >> n - v))
+            elif not rest & new >> n - v:
+                total += light if rest == edge else heavy
         return total
 
     def count(used: int, tails: int, free: int, choices: int) -> int:
         if not free & free - 1:  # the last value: does its difference in each row repeat?
-            return 1 if choices and not used & tails << free.bit_length() - 1 else 0
+            return (light if free == edge else heavy) if choices and not used & tails << free.bit_length() - 1 else 0
         total = 0
         while choices:
             low = choices & -choices
             choices ^= low
             v = low.bit_length() - 1
             new = tails << v
-            if used & new:
-                continue
             rest = free ^ low
+            if used & new or not rest & window:
+                continue
             new |= used
             total += count(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v))
         return total
@@ -249,7 +273,10 @@ def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int]) -> int
     used, tails, free, choices = state
     if not free:  # the state is a whole permutation
         return 1
-    if rule.k == 1 and tails:  # tails is bit n - last, and 0 only at the root
+    if not free & window:
+        return 0
+    # tails is bit n - last, and 0 only at the root; count tests a lone last value
+    if rule.k == 1 and tails and free & free - 1:
         return count_row1(used, n + 1 - tails.bit_length(), free, choices)
     return count(*state)
 
@@ -458,9 +485,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     halved = isinstance(rule, RowsRule)
     tasks = _frontier(rule, n, _depth(n), (1 << (n + 1) // 2 + 1) - 2 if halved else None)
     if mode == "count" and halved:
-        # a task counts twice when its first value is at most n//2, once when the middle
-        return sum(_spread(rule, n, tasks,
-                           lambda prefix, state: (2 if 2 * prefix[0] <= n else 1) * _count_rows(rule, n, state)))
+        return sum(_spread(rule, n, tasks, lambda prefix, state: _count_rows(rule, n, state, prefix[0])))
     better = operator.gt if spec.direction == "max" else operator.lt
     flip = (n + 1).__sub__
     count = 0

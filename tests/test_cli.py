@@ -109,6 +109,30 @@ def test_integers_are_ascii_decimal_only(capsys, argv, err):
 
 
 @pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("count", "--property", "one-costas", "--n"), "--n"),
+        (("table", "--kind", "costas", "--max-n"), "--max-n"),
+        (("construct", "dpair", "--b", "5", "--a"), "--a"),
+    ],
+    ids=["n", "max-n", "a"],
+)
+@pytest.mark.parametrize(
+    "value,reason",
+    [
+        ("1" * 5000, "integer out of range: has 5000 digits, more than 4300"),
+        ("x" * 5000, "invalid int value: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ],
+    ids=["ones", "letters"],
+)
+def test_long_int_option_is_one_short_line(capsys, argv, option, value, reason):
+    # an integer option's bad value is cut as a long token is, not echoed whole
+    code, out, err = run(capsys, *argv, value)
+    assert (code, out, err) == (2, "", f"error: argument {option}: {reason}\n")
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
     "argv,out",
     [(("derive", " 2, 1"), "-1\n"), (("derive", "\t2,+1 "), "-1\n"),
      (("count", "--property", "one-costas", "--n", " 7 "), "n=7 total=5040 count=788 fraction=15.6\n"),

@@ -404,12 +404,12 @@ def test_lost_child_raises(forks, monkeypatch, how):
     # one child that ends without its last record, killed or exiting, fails the walk
     parent, count_rows = os.getpid(), search._count_rows
 
-    def lost(rule, n, state):
+    def lost(rule, n, state, first=None):
         if os.getpid() != parent and len(forks) == 1:  # the second child: forked after one pid was recorded
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             os._exit(0)
-        return count_rows(rule, n, state)
+        return count_rows(rule, n, state, first)
 
     monkeypatch.setattr(search, "_count_rows", lost)
     with pytest.raises(RuntimeError, match="exited before reporting all its tasks"):
