@@ -482,7 +482,7 @@ def test_costas_count_at_order_12_is_published_value():
 @pytest.mark.slow
 def test_one_costas_count_at_order_12():
     # the count the derivative-side walk of test_derivative_side_count.py
-    # also gives (in about 140 s): 5.0-5.6 s on two Xeon cores (Python 3.11),
+    # also gives (in about 140 s): 6.8-7.0 s on two Xeon cores (Python 3.11),
     # run with pytest -m slow
     assert count_one_costas(12).count == 8_725_320
 
