@@ -47,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one-line diagnostics, exit code 2
         raise ValueError(message)
 
+    def _parse_optional(self, arg_string):
+        # -1,+2 or -x is a value, for its command to judge: no option starts with a single - but -h
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
 
 @dataclass
 class CommandOutput:
@@ -328,8 +334,6 @@ def run(argv=None) -> int:
     """Parse argv, dispatch, print the result; returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # A leading space hides a value such as -1,+2 from option parsing; no option starts with - and a digit.
-    argv = [" " + token if token[:1] == "-" and "0" <= token[1:2] <= "9" else token for token in argv]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -4,10 +4,14 @@ One walker serves every search: it chooses values depth-first in ascending
 order, masking used values and cutting subtrees as soon as a prefix fails;
 because the predicate is hereditary (a failing prefix never extends to an
 accepted permutation) the pruned walk visits exactly the permutations the
-naive n!-filter would accept.  Collecting, optimizing and the longest-prefix
-search differ only in what they do at the walk's leaves.  The longest-prefix
-search asks each walk for one sequence of a given length, n first, then n-1
-and so on, so it calls back once, on its result, not at every node.
+naive n!-filter would accept.  Collecting and optimizing differ only in what
+they do at the walk's leaves.  The longest-prefix search asks each walk for
+one sequence of a given length, n first, then n-1 and so on, so it calls
+back once, on its result, not at every node.  Under a RowsRule it runs
+_first_rows, the walker's recursion with no prefix list and no leaf calls:
+it counts down the values left to place, returns the path it found, and
+skips a candidate that leaves no value whose differences are new in rows
+1..3.
 
 The shipped predicates are module-level and picklable; called on a prefix
 they judge it whole.  The walker is one bit recursion carrying a bitmask of
@@ -325,8 +329,8 @@ def _extend(n: int, depth: int, width: int, keep: int, prefix: tuple[int, ...], 
 # have run _SPREAD_AFTER_S in process.  Forking and reaping a child costs a few
 # ms.  Below order 9 the largest walk, k-Costas K = 0 at order 8, takes about
 # 15 ms, so it stays in process.  From order 9 the smallest count, Costas 9,
-# takes about 44 ms serially, but gamma(9..13) finish in under 5 ms: forked at
-# once, gamma(13) took 6.6 ms, not 4.6 (2-core x86 VM, Python 3.11).
+# takes about 44 ms serially, but gamma(9..13) finish in under 4 ms: forked at
+# once, gamma(13) took 7.8 ms, not 3.2 (2-core x86 VM, Python 3.11).
 _SPREAD_ORDER = 9
 _SPREAD_AFTER_S = 0.025
 
@@ -445,6 +449,45 @@ def _first_reaching(rule: Callable[[Sequence[int]], bool], n: int, reach: int,
     return found[0] if found else ()
 
 
+def _first_rows(rule: RowsRule, n: int, reach: int, prefix: tuple[int, ...], state) -> tuple[int, ...]:
+    """_first_reaching under a RowsRule: _walk's recursion keeping no prefix and calling
+    no leaf, counting down the values left to place and returning the path it found.
+
+    Each candidate is tested on every row, as in _walk.  Unless it is the last
+    value to place, it is then dropped when no value left after it has new
+    differences in rows 1..3 to it and to the prefix's last two values; 0
+    stands for a value that does not exist yet, whose row is still empty.
+    The values that pass become the child's choices.
+    """
+    width, keep = _row_layout(rule, n)
+    row2, row3 = width + n, 2 * width + n
+
+    def first(left: int, last: int, last2: int, used: int, tails: int, free: int, choices: int) -> tuple[int, ...]:
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            v = low.bit_length() - 1
+            new = tails << v
+            if used & new:
+                continue
+            if left == 1:
+                return v,
+            rest = free ^ low
+            new |= used
+            after = rest & ~(new >> n - v | new >> row2 - last | new >> row3 - last2)
+            if after:
+                found = first(left - 1, v, last, new, (tails << width | 1 << n - v) & keep, rest, after)
+                if found:
+                    return (v, *found)
+        return ()
+
+    left = reach - len(prefix)
+    if not left:
+        return prefix
+    found = first(left, *(0, 0, *prefix)[:-3:-1], *state)
+    return prefix + found if found else ()
+
+
 def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
     """The first, in ascending order, of the longest sequences of distinct values
     from 1..n whose every prefix prefix_ok accepts.
@@ -458,9 +501,10 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     """
     spec = SearchSpec(n=n, prefix_ok=prefix_ok)
     rule = spec.prefix_ok
+    first = _first_rows if isinstance(rule, RowsRule) else _first_reaching
     for reach in range(n, 0, -1):
         tasks = _frontier(rule, n, min(_depth(n), reach))
-        hits = _spread(rule, n, tasks, lambda prefix, state, reach=reach: _first_reaching(rule, n, reach, prefix, state),
+        hits = _spread(rule, n, tasks, lambda prefix, state, reach=reach: first(rule, n, reach, prefix, state),
                        _SPREAD_AFTER_S)
         try:
             found = next(filter(None, hits), ())

@@ -90,7 +90,7 @@ def test_sequences_starting_with_a_negative_value_are_values(capsys, argv, out):
         (("derive", "2,1_0,3"), "not a comma-separated integer sequence: token 2 is '1_0'"),
         (("triangle", "١,٢"), "not a comma-separated integer sequence: token 1 is '١'"),
         (("derive", "1,2\u3000"), "not a comma-separated integer sequence: token 2 is '2\\u3000'"),
-        (("triangle", "-١,٢"), "the following arguments are required: sequence"),
+        (("triangle", "-١,٢"), "not a comma-separated integer sequence: token 1 is '-١'"),
         (("count", "--property", "one-costas", "--n", "0_7"), "argument --n: invalid int value: '0_7'"),
         (("count", "--property", "one-costas", "--n", "٧"), "argument --n: invalid int value: '٧'"),
         (("table", "--kind", "costas", "--max-n", "1_0"), "argument --max-n: invalid int value: '1_0'"),
@@ -106,6 +106,31 @@ def test_sequences_starting_with_a_negative_value_are_values(capsys, argv, out):
 def test_integers_are_ascii_decimal_only(capsys, argv, err):
     # int() alone reads 1_0 as 10 and ١ as 1; the command line takes ASCII digits and sign only
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("derive", "-x"), "not a comma-separated integer sequence: token 1 is '-x'"),
+        (("integrate", "-"), "not a comma-separated integer sequence: token 1 is '-'"),
+        (("triangle", "-1,x"), "not a comma-separated integer sequence: token 2 is 'x'"),
+        (("check", "--property", "-x", "1,2"), "unknown property '-x'"),
+        (("count", "--property", "costas", "--n", "-x"), "argument --n: invalid int value: '-x'"),
+        (("construct", "dpair", "--a", "-1x", "--b", "5"), "argument --a: invalid int value: '-1x'"),
+    ],
+    ids=["derive-letter", "integrate-dash", "triangle-letter-after-minus", "check-property", "count-n", "construct-a"],
+)
+def test_values_starting_with_a_dash_are_values(capsys, argv, err):
+    # no option starts with a single dash but -h, so such a token is a value, named as given
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_flags_are_options(capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        cli.run(["derive", flag])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: permderiv derive ")
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,23 @@ import pytest
 from permderiv import count_one_costas
 
 
-def derivative_side_count(n):
+def derivative_side_count(n, halved=False):
     """The number of sequences of n-1 distinct nonzero differences whose running
-    sums from 0 are distinct and span at most n-1."""
+    sums from 0 are distinct and span at most n-1.
+
+    With halved, only the sequences with a positive first difference are walked,
+    and their number doubled.  Negating every difference keeps the differences
+    distinct and the sums distinct within the same span, so it pairs each
+    sequence with one whose first difference has the other sign.
+    """
     differences, sums = set(), {0}
 
     def walk(depth, last, lowest, highest):
         if depth == n - 1:
             return 1
         total = 0
-        for s in range(highest - (n - 1), lowest + n):  # the sums that keep the window
+        # the sums that keep the window; a halved walk's first one is positive
+        for s in range(1 if halved and not depth else highest - (n - 1), lowest + n):
             d = s - last  # nonzero, since s differs from every earlier sum
             if s in sums or d in differences:
                 continue
@@ -32,7 +39,7 @@ def derivative_side_count(n):
             sums.remove(s)
         return total
 
-    return walk(0, 0, 0, 0)
+    return walk(0, 0, 0, 0) * (2 if halved and n > 1 else 1)  # order 1 has no difference to negate
 
 
 def test_derivative_side_count_matches_figure1_rows():
@@ -45,7 +52,12 @@ def test_count_one_costas_matches_derivative_side_count(n):
     assert count_one_costas(n).count == derivative_side_count(n)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_halved_derivative_side_count_equals_the_whole_walk(n):
+    assert derivative_side_count(n, halved=True) == derivative_side_count(n)
+
+
 @pytest.mark.slow
 def test_order_11_one_costas_count_from_both_sides():
-    # past the oracles' reach: about 20 s, run with pytest -m slow
-    assert derivative_side_count(11) == count_one_costas(11).count == 1104876
+    # past the oracles' reach: about 9 s halved (14 s whole), run with pytest -m slow
+    assert derivative_side_count(11, halved=True) == count_one_costas(11).count == 1104876

@@ -237,6 +237,22 @@ def test_rows_rules_walk_as_their_wrapped_calls(n):
         assert search.longest_prefix(rule, n) == search.longest_prefix(wrapped, n)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rows_rule_first_hits_equal_the_wrapped_walks(n):
+    # from every task of depth 1..3, the RowsRule recursion finds the first sequence of
+    # each reach that the walk of the rule wrapped in a lambda finds; that walk keeps
+    # no rows, so its state after a prefix is only the values left free
+    values = (1 << n + 1) - 2
+    for rule in (costas_prefix_ok, *map(k_costas_prefix_ok, range(-1, n))):
+        wrapped = lambda prefix, rule=rule: rule(prefix)
+        for depth in range(1, min(n, 3) + 1):
+            for prefix, state in search._frontier(rule, n, depth):
+                free = values - sum(1 << v for v in prefix)
+                for reach in range(depth, n + 1):
+                    expected = search._first_reaching(wrapped, n, reach, prefix, (0, 0, free, free))
+                    assert search._first_rows(rule, n, reach, prefix, state) == expected
+
+
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
 def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
     # every search walks the tasks of one _frontier call: RowsRule counts,
