@@ -201,14 +201,11 @@ def is_costas_half(values: Sequence[int], m: int) -> bool:
 def gamma(n: int) -> tuple[int, tuple[int, ...]]:
     """Largest m with a Costas m-subpermutation of order n, plus a witness.
 
-    The longest-prefix search under the Costas rule, from the empty prefix
-    over value choices in ascending order; its tasks are walked by
-    search._first_rows, the walker's recursion that keeps no prefix list and
-    returns the first path of the length it looks for.  The witness is the
-    first Costas subpermutation of the greatest length, and the search stops
-    early once m = n is reached (m = n happens exactly when a Costas
-    permutation of order n exists).  Raises ValueError unless
-    1 <= n <= search.MAX_SEARCH_ORDER.
+    The longest-prefix search under the Costas rule (search._first_rows), from
+    the empty prefix over value choices in ascending order: the witness is the first
+    Costas subpermutation of the greatest length, and the search stops early
+    once m = n is reached (m = n happens exactly when a Costas permutation
+    of order n exists).  Raises ValueError unless 1 <= n <= search.MAX_SEARCH_ORDER.
     """
     best = search.longest_prefix(search.costas_prefix_ok, n)
     return len(best), best

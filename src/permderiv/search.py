@@ -7,11 +7,9 @@ accepted permutation) the pruned walk visits exactly the permutations the
 naive n!-filter would accept.  Collecting and optimizing differ only in what
 they do at the walk's leaves.  The longest-prefix search asks each walk for
 one sequence of a given length, n first, then n-1 and so on, so it calls
-back once, on its result, not at every node.  Under a RowsRule it runs
-_first_rows, the walker's recursion with no prefix list and no leaf calls:
-it counts down the values left to place, returns the path it found, and
-skips a candidate that leaves no value whose differences are new in rows
-1..3.
+back once, on its result, not at every node; under a RowsRule _first_rows
+walks with no prefix list and no leaf, skipping a candidate that leaves no
+value with new differences in rows 1..3.
 
 The shipped predicates are module-level and picklable; called on a prefix
 they judge it whole.  The walker is one bit recursion carrying a bitmask of
@@ -450,15 +448,10 @@ def _first_reaching(rule: Callable[[Sequence[int]], bool], n: int, reach: int,
 
 
 def _first_rows(rule: RowsRule, n: int, reach: int, prefix: tuple[int, ...], state) -> tuple[int, ...]:
-    """_first_reaching under a RowsRule: _walk's recursion keeping no prefix and calling
-    no leaf, counting down the values left to place and returning the path it found.
-
-    Each candidate is tested on every row, as in _walk.  Unless it is the last
-    value to place, it is then dropped when no value left after it has new
-    differences in rows 1..3 to it and to the prefix's last two values; 0
-    stands for a value that does not exist yet, whose row is still empty.
-    The values that pass become the child's choices.
-    """
+    """_first_reaching under a RowsRule, by _walk's recursion with no prefix list or leaf:
+    it counts down the values left and returns the path found.  A candidate, tested
+    on every row, is skipped unless it is the last or its child's choices, filtered on
+    rows 1..3 (last and last2 are 0 before they exist: an empty row), are not empty."""
     width, keep = _row_layout(rule, n)
     row2, row3 = width + n, 2 * width + n
 

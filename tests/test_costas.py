@@ -373,7 +373,7 @@ def test_gamma_matches_reference_search(n):
 ])
 def test_gamma_witness_is_the_first_costas_permutation_past_the_reference_range(n, witness):
     # the first Costas permutation in ascending order, from the RowsRule walk, the
-    # plain-callable walk and the reference search: about 1 s at order 14 and 16 s at
+    # plain-callable walk and the reference search: 1-2 s at order 14 and 16-20 s at
     # order 15, most of it the plain-callable walk, the reference search about 4 s
     assert naive_is_costas(witness)
     assert gamma(n) == reference_gamma(n) == (n, witness)
