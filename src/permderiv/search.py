@@ -1,6 +1,6 @@
 """Exact enumeration over permutations with hereditary prefix pruning.
 
-One walker serves every search: it chooses values depth-first in ascending
+Every search walks the same way: it chooses values depth-first in ascending
 order, masking used values and cutting subtrees as soon as a prefix fails;
 because the predicate is hereditary (a failing prefix never extends to an
 accepted permutation) the pruned walk visits exactly the permutations the
@@ -12,12 +12,14 @@ walks with no prefix list and no leaf, skipping a candidate that leaves no
 value with new differences in rows 1..3.
 
 The shipped predicates are module-level and picklable; called on a prefix
-they judge it whole.  The walker is one bit recursion carrying a bitmask of
-used differences per difference-triangle row.  It never calls a RowsRule but
-tests its rows inline, so extending a prefix costs a few bit operations
-rather than a rescan; any other predicate has no rows to test and is called
-on the full prefix at each extension.  convex_prefix_ok is one: convexity's
-own non-decreasing-differences rule, the one is_convex applies.
+they judge it whole.  Each walk is a bit recursion over one state layout, a
+bitmask of used differences per difference-triangle row: _walk for collect,
+optimize and plain predicates, _count_rows and _first_rows under a RowsRule,
+and _extend for tasks.  None calls a RowsRule; each tests its rows inline, so
+extending a prefix costs a few bit operations rather than a rescan; any other
+predicate has no rows to test and _walk calls it on the full prefix at each
+extension.  convex_prefix_ok is one: convexity's own
+non-decreasing-differences rule, the one is_convex applies.
 
 Every search walks its tree as tasks: _frontier yields, in lexicographic
 order, the accepted sequences of about n/3 values (one value below order 9)
@@ -47,16 +49,17 @@ come in.  Convex (complement makes it concave) and other predicates are not
 reduced.  The longest-prefix search takes the first task that holds a
 sequence of the length it looks for.
 
-A count under a RowsRule of order 9 or more spreads its tasks over the CPUs
-the process may use from its first task, and a longest-prefix walk once it
-has run 25 ms in process (_spread), when there are two or more CPUs, os can
-fork and no other thread runs.  Over W CPUs the calling process walks tasks
-0, W, 2W, ... itself, and W-1 forked children, each pinned to a CPU of its
-own, walk the others, child w tasks w, w+W, ...; the parent reads their
-results in task order, so every result and witness is the serial walk's, and
-no child outlives the call.  Collect and optimize always run in process:
-sending their lists of matches back would cost more than a second CPU saves,
-and an objective, like a plain predicate, may be impure.
+A count under a RowsRule and a longest-prefix walk run their tasks in one
+loop over W workers (_spread): the calling process walks tasks 0, W, 2W, ...
+itself, and W-1 forked children, each pinned to a CPU of its own, walk the
+others, child w tasks w, w+W, ...; the parent reads their results in task
+order, so every result and witness is the serial walk's, and no child
+outlives the call.  W is the number of CPUs the process may use, from a
+count's first task at order 9 or more and once a longest-prefix walk has run
+25 ms, when there are two or more, os can fork and no other thread runs;
+otherwise W is 1, which is the walk in process.  Collect and optimize always
+run in process: sending their lists of matches back would cost more than a
+second CPU saves, and an objective, like a plain predicate, may be impure.
 
 SEARCHABLE is the one registry of searchable properties, each with its rule
 and order cap; `matches` counts or lists any of them, and the CLI's check
@@ -64,6 +67,7 @@ judges them with the same rules, so the two cannot disagree.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import marshal
 import math
@@ -216,29 +220,27 @@ def _row_layout(rule: Callable[[Sequence[int]], bool], n: int) -> tuple[int, int
     return width, (1 << width * rows) - 1
 
 
-def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int], first: int | None = None) -> int:
-    """The number of order-n permutations rule accepts below the walker's state or,
-    given the task's first value f, their sum weighed by last value: 4 when it is
-    strictly between f and n+1-f, 2 when it is n+1-f > f, 0 otherwise.
+def _count_rows(rule: RowsRule, n: int, prefix: tuple[int, ...], state: tuple[int, int, int, int]) -> int:
+    """The order-n permutations rule accepts below a task, (prefix, state) as _frontier
+    yields it, summed with a weight by last value: 4 when it is strictly between the
+    first value f = prefix[0] and n+1-f, 2 when it is n+1-f > f, 0 otherwise.
 
     Reverse and complement keep rule, so over the tasks of first value f <= n//2
     and the odd middle that weighed sum is the count (see the module docstring).
-    A state that is a whole permutation counts 1 either way: it is order 1's one
-    task, and holds no last value when rule keeps no row (k <= 0).
+    A task that is a whole permutation counts 1: it is order 1's one task, and
+    holds no last value when rule keeps no row (k <= 0).
     _walk's recursion keeping no prefix and calling no leaf: each call returns
     its subtree's sum, a candidate that leaves no free value in f+1..n+1-f is
     cut, and a call with one free value left answers with one bit test.  A
-    row-1 rule (k == 1) below the root carries only the last value in place of
-    tails: choices already drops every value whose difference repeats, so each
-    candidate just records its difference, and the value left after it is
-    tested inline, with no call.
+    row-1 rule (k == 1) carries only the last value in place of tails: choices
+    already drops every value whose difference repeats, so each candidate just
+    records its difference, and the value left after it is tested inline, with
+    no call.
     """
     width, keep = _row_layout(rule, n)
-    # the values a match may end with; each weighs heavy, or light when it is edge
-    if first is None:
-        window, edge, heavy, light = (1 << n + 1) - 2, 0, 1, 1
-    else:
-        window, edge, heavy, light = max(0, (1 << n + 2 - first) - (1 << first + 1)), 1 << n + 1 - first, 4, 2
+    first = prefix[0]
+    # the values a match may end with; each weighs 4, or 2 when it is edge
+    window, edge = max(0, (1 << n + 2 - first) - (1 << first + 1)), 1 << n + 1 - first
 
     def count_row1(used: int, last: int, free: int, choices: int) -> int:
         total = 0
@@ -253,12 +255,12 @@ def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int], first:
             if rest & rest - 1:
                 total += count_row1(new, v, rest, rest & ~(new >> n - v))
             elif not rest & new >> n - v:
-                total += light if rest == edge else heavy
+                total += 2 if rest == edge else 4
         return total
 
     def count(used: int, tails: int, free: int, choices: int) -> int:
         if not free & free - 1:  # the last value: does its difference in each row repeat?
-            return (light if free == edge else heavy) if choices and not used & tails << free.bit_length() - 1 else 0
+            return (2 if free == edge else 4) if choices and not used & tails << free.bit_length() - 1 else 0
         total = 0
         while choices:
             low = choices & -choices
@@ -273,13 +275,12 @@ def _count_rows(rule: RowsRule, n: int, state: tuple[int, int, int, int], first:
         return total
 
     used, tails, free, choices = state
-    if not free:  # the state is a whole permutation
+    if not free:  # the task is a whole permutation
         return 1
     if not free & window:
         return 0
-    # tails is bit n - last, and 0 only at the root; count tests a lone last value
-    if rule.k == 1 and tails and free & free - 1:
-        return count_row1(used, n + 1 - tails.bit_length(), free, choices)
+    if rule.k == 1 and free & free - 1:  # count tests a lone last value
+        return count_row1(used, prefix[-1], free, choices)
     return count(*state)
 
 
@@ -326,9 +327,10 @@ def _extend(n: int, depth: int, width: int, keep: int, prefix: tuple[int, ...], 
 # children: a count from its first task, a longest-prefix walk once its tasks
 # have run _SPREAD_AFTER_S in process.  Forking and reaping a child costs a few
 # ms.  Below order 9 the largest walk, k-Costas K = 0 at order 8, takes about
-# 15 ms, so it stays in process.  From order 9 the smallest count, Costas 9,
-# takes about 44 ms serially, but gamma(9..13) finish in under 4 ms: forked at
-# once, gamma(13) took 7.8 ms, not 3.2 (2-core x86 VM, Python 3.11).
+# 8 ms in process and 10 ms spread, so it stays in process.  At order 9 the
+# smallest counts, Costas and one-Costas 9, take about 19 ms in process and
+# 17 ms spread, but gamma(9..13) finish in under 4 ms: gamma(13) took 2.1-2.4 ms
+# in process and 4.9-5.2 ms forked at once (medians, 2-core x86 VM, Python 3.11).
 _SPREAD_ORDER = 9
 _SPREAD_AFTER_S = 0.025
 
@@ -349,12 +351,16 @@ def _cpus(rule: Callable[[Sequence[int]], bool], n: int) -> list[int]:
 def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable, lead: float | None = None):
     """Yield work(prefix, state) for each task of an order-n walk under rule, in task order.
 
-    When the walk may spread over W CPUs (_cpus), it spreads from its first
-    task, or, given a lead, once the tasks run in process have taken lead
-    seconds: W-1 forked children and the parent share the rest (_forked).
-    So the results, and a consumer that stops at the first one it wants, are
-    those of the serial walk whatever the split.  Close the generator when
-    stopping early: that kills the children.
+    Given a lead, the tasks run in process until they have taken lead seconds.
+    The rest go to W workers, W = len(_cpus(rule, n)), or 1 when it names none:
+    the parent walks tasks 0, W, 2W, ... and child w, forked and pinned to the
+    w-th CPU, tasks w, w+W, ..., writing its results to a pipe the parent reads
+    in task order.  So the results, and a consumer that stops at the first one
+    it wants, are those of the serial walk whatever the split.  RuntimeError when
+    a child exits without its last record.  When a pipe or fork fails (say EAGAIN
+    at the process limit), before any task has run, the children forked so far
+    are dropped and the tasks go on with one worker.  Every child is killed and
+    reaped before this returns or raises; close the generator when stopping early.
     """
     tasks = iter(tasks)
     if lead is not None:
@@ -365,41 +371,24 @@ def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable
                 break
         else:
             return
-    cpus = _cpus(rule, n)
-    if cpus:
-        yield from _forked(tasks, work, cpus)
-    else:
-        for prefix, state in tasks:
-            yield work(prefix, state)
-
-
-def _forked(tasks, work: Callable, cpus: list[int]):
-    """_spread's tasks over W = len(cpus) workers: the parent walks tasks 0, W, 2W, ...
-    and child w, forked and pinned to cpus[w], tasks w, w+W, ..., writing its results
-    to a pipe the parent reads in task order; RuntimeError when a child exits without
-    its last record.  When a pipe or fork fails (say EAGAIN at the process limit),
-    before any task has run, the children forked so far are dropped and the tasks go
-    on in process.  Every child is killed and reaped before this returns, raises or
-    goes on alone."""
-    import signal  # needed only here: most walks never fork
-
-    readers, pids = [], []
-    try:
+    for cpus in (_cpus(rule, n), ()):  # the second pass only when a pipe or fork fails
+        readers, pids = [], []
         try:
-            for index in range(1, len(cpus)):
-                fd, child_fd = os.pipe()
-                readers.append(os.fdopen(fd, "rb"))
-                try:
-                    pid = os.fork()
-                    if not pid:
-                        _child(itertools.islice(tasks, index, None, len(cpus)), work, cpus[index], child_fd)
-                    pids.append(pid)
-                finally:
-                    os.close(child_fd)
-        except OSError:  # no pipe or process to spare: the tasks go on below, in process
-            pass
-        else:
-            for prefix, state in itertools.islice(tasks, 0, None, len(cpus)):  # the parent's share
+            try:
+                for index in range(1, len(cpus)):
+                    import signal  # needed only to kill children: most walks never fork
+                    fd, child_fd = os.pipe()
+                    readers.append(os.fdopen(fd, "rb"))
+                    try:
+                        pid = os.fork()
+                        if not pid:
+                            _child(itertools.islice(tasks, index, None, len(cpus)), work, cpus[index], child_fd)
+                        pids.append(pid)
+                    finally:
+                        os.close(child_fd)
+            except OSError:  # no pipe or process to spare: the children go (below), the parent walks alone
+                continue
+            for prefix, state in itertools.islice(tasks, 0, None, len(readers) + 1):  # the parent's share
                 yield work(prefix, state)
                 for reader in readers:  # then the children's tasks up to the parent's next
                     try:
@@ -410,14 +399,12 @@ def _forked(tasks, work: Callable, cpus: list[int]):
                         return
                     yield result
             return
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for reader in readers:
-            reader.close()
-    for prefix, state in tasks:  # reached only when a pipe or fork failed
-        yield work(prefix, state)
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for reader in readers:
+                reader.close()
 
 
 def _child(tasks, work: Callable, cpu: int, fd: int) -> None:
@@ -497,8 +484,7 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     first = _first_rows if isinstance(rule, RowsRule) else _first_reaching
     for reach in range(n, 0, -1):
         tasks = _frontier(rule, n, min(_depth(n), reach))
-        hits = _spread(rule, n, tasks, lambda prefix, state, reach=reach: first(rule, n, reach, prefix, state),
-                       _SPREAD_AFTER_S)
+        hits = _spread(rule, n, tasks, functools.partial(first, rule, n, reach), _SPREAD_AFTER_S)
         try:
             found = next(filter(None, hits), ())
         finally:
@@ -522,7 +508,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     halved = isinstance(rule, RowsRule)
     tasks = _frontier(rule, n, _depth(n), (1 << (n + 1) // 2 + 1) - 2 if halved else None)
     if mode == "count" and halved:
-        return sum(_spread(rule, n, tasks, lambda prefix, state: _count_rows(rule, n, state, prefix[0])))
+        return sum(_spread(rule, n, tasks, functools.partial(_count_rows, rule, n)))
     better = operator.gt if spec.direction == "max" else operator.lt
     flip = (n + 1).__sub__
     count = 0

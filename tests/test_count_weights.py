@@ -73,4 +73,4 @@ def test_each_task_counts_the_filters_weighed_sum(n):
             for t in matches:
                 expected[t[:depth]] += 1 if depth == n else weight(t)
             for prefix, state in search._frontier(rule, n, depth):
-                assert search._count_rows(rule, n, state, prefix[0]) == expected[prefix], (name, prefix)
+                assert search._count_rows(rule, n, prefix, state) == expected[prefix], (name, prefix)

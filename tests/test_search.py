@@ -210,16 +210,19 @@ def test_reduced_counts_equal_the_unreduced_walk(n):
 @pytest.mark.parametrize("rule", [one_costas_prefix_ok, k_costas_prefix_ok(1)], ids=["one-costas", "k-costas-1"])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_row1_counts_from_every_depth_equal_the_filter(n, rule):
-    # a row-1 count below the root carries only the last value; from every depth,
-    # the root (0), one free value left (n-1) and a whole permutation (n) among them,
-    # it counts the permutations with the task's prefix and distinct differences
+    # a row-1 count carries only the last value; from every depth, one free value
+    # left (n-1) and a whole permutation (n) among them, each task counts the
+    # filter's matches with its prefix weighed by last value, a whole permutation 1
     accepted = [t for t in itertools.permutations(range(1, n + 1)) if naive_is_one_costas(t)]
-    for depth in range(n + 1):
-        expected = collections.Counter(t[:depth] for t in accepted)
+    for depth in range(1, n + 1):
+        expected = collections.Counter()
+        for t in accepted:
+            f, last = t[0], t[-1]
+            expected[t[:depth]] += 1 if depth == n else 4 if f < last < n + 1 - f else 2 if f < last == n + 1 - f else 0
         tasks = list(search._frontier(rule, n, depth))
         assert tasks
         for prefix, state in tasks:
-            assert search._count_rows(rule, n, state) == expected[prefix]
+            assert search._count_rows(rule, n, prefix, state) == expected[prefix]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -359,6 +362,13 @@ def forks(monkeypatch):
     return forked
 
 
+def serial_count(rule, n):
+    """rule's order-n matches, counted by one in-process walk of the whole tree."""
+    leaves = []
+    search._walk(rule, n, lambda prefix: leaves.append(1), search._root(n))
+    return len(leaves)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -367,7 +377,7 @@ def assert_no_child_left():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_spread_counts_equal_the_serial_walk(forks, n):
     for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(n))):
-        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == search._count_rows(rule, n, search._root(n))
+        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == serial_count(rule, n)
     assert forks
     assert_no_child_left()
 
@@ -420,12 +430,12 @@ def test_lost_child_raises(forks, monkeypatch, how):
     # one child that ends without its last record, killed or exiting, fails the walk
     parent, count_rows = os.getpid(), search._count_rows
 
-    def lost(rule, n, state, first=None):
+    def lost(rule, n, prefix, state):
         if os.getpid() != parent and len(forks) == 1:  # the second child: forked after one pid was recorded
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             os._exit(0)
-        return count_rows(rule, n, state, first)
+        return count_rows(rule, n, prefix, state)
 
     monkeypatch.setattr(search, "_count_rows", lost)
     with pytest.raises(RuntimeError, match="exited before reporting all its tasks"):
@@ -446,9 +456,24 @@ def test_failed_fork_walks_on_in_process(forks, monkeypatch):
 
     monkeypatch.setattr(os, "fork", second_fails)
     for rule in (one_costas_prefix_ok, costas_prefix_ok, k_costas_prefix_ok(2)):
-        assert search.enumerate(SearchSpec(n=9, prefix_ok=rule)) == search._count_rows(rule, 9, search._root(9))
+        assert search.enumerate(SearchSpec(n=9, prefix_ok=rule)) == serial_count(rule, 9)
     assert [costas.gamma(n) for n in (9, 11)] == [reference_gamma(n) for n in (9, 11)]
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("spread", [True, False], ids=["spread", "in-process"])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 7])
+def test_spread_yields_every_task_in_order(forks, monkeypatch, size, spread):
+    # three workers: below three tasks a child has none, and from four a child's
+    # share ends before the parent's; with no CPUs named the parent walks them all
+    if not spread:
+        monkeypatch.setattr(search, "_cpus", lambda rule, n: [])
+    tasks = list(itertools.islice(search._frontier(costas_prefix_ok, 9, 3), size))
+    assert len(tasks) == size
+    work = lambda prefix, state: (prefix, state)
+    assert list(search._spread(costas_prefix_ok, 9, tasks, work)) == [work(*t) for t in tasks]
+    assert len(forks) == (2 if spread else 0)
     assert_no_child_left()
 
 
