@@ -227,8 +227,8 @@ def _count_rows(rule: RowsRule, n: int, prefix: tuple[int, ...], state: tuple[in
 
     Reverse and complement keep rule, so over the tasks of first value f <= n//2
     and the odd middle that weighed sum is the count (see the module docstring).
-    A task that is a whole permutation counts 1: it is order 1's one task, and
-    holds no last value when rule keeps no row (k <= 0).
+    A task that is a whole permutation counts 1, unweighed: it is order 1's one
+    task, and the weights need n >= 2.
     _walk's recursion keeping no prefix and calling no leaf: each call returns
     its subtree's sum, a candidate that leaves no free value in f+1..n+1-f is
     cut, and a call with one free value left answers with one bit test.  A

@@ -64,8 +64,8 @@ def test_matches_are_closed_under_reverse_and_complement(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_each_task_counts_the_filters_weighed_sum(n):
-    # a task that is a whole permutation (depth n) counts 1, weighed or not:
-    # it is order 1's one task, and its state holds no last value under k <= 0
+    # a task that is a whole permutation (depth n) counts 1, unweighed:
+    # it is order 1's one task, and the weights need n >= 2
     for name, k, rule in rules(n):
         matches = filtered(n, k)
         for depth in range(1, n + 1):
