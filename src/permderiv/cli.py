@@ -20,7 +20,6 @@ from .perm_core import (
     Permutation,
     _parse_int,
     _shown,
-    _too_long,
     derivative,
     format_int_sequence,
     integrate,
@@ -30,13 +29,12 @@ from .perm_core import (
 )
 
 def _int_option(text: str) -> int:
-    """A type=int option's value, read as ASCII decimal only.  A bad value is echoed
-    cut to its ends (_shown); a digit string too long for int() is out of range."""
+    """A type=int option's value, read as ASCII decimal only (_parse_int); argparse prints
+    an ArgumentTypeError's reason as given, and words any other error itself."""
     try:
-        return _parse_int(text)
-    except ValueError:
-        reason = f"integer out of range: {_too_long(text)}" if _too_long(text) else f"invalid int value: {_shown(text)!r}"
-        raise argparse.ArgumentTypeError(reason) from None
+        return _parse_int(text, "", "invalid int value:")
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -83,34 +83,32 @@ def parse_int_sequence(text: str) -> tuple[int, ...]:
     empty string, or ASCII whitespace alone, is ()."""
     if not text.strip(" \t\n\r\f\v"):
         return ()
-    values = []
-    for i, tok in enumerate(text.split(","), 1):
-        try:
-            values.append(_parse_int(tok))
-        except ValueError:
-            if _too_long(tok):
-                raise ValueError(f"integer out of range: token {i} {_too_long(tok)}") from None
-            raise ValueError(f"not a comma-separated integer sequence: token {i} is {_shown(tok)!r}") from None
-    return tuple(values)
+    tokens = text.split(",")
+    try:
+        return tuple(map(_parse_int, tokens, repeat(""), repeat("")))
+    except ValueError:  # read again with each token's nouns, built only now, until the bad one raises
+        for i, tok in enumerate(tokens, 1):
+            _parse_int(tok, f"token {i} ", f"not a comma-separated integer sequence: token {i} is")
+        raise
 
 
 # An integer as the command line takes it: ASCII digits, an optional sign, ASCII whitespace around.
 _DECIMAL = re.compile(r"\s*[+-]?(\d+)\s*", re.ASCII)
 
 
-def _parse_int(text: str) -> int:
-    """text as an int, or ValueError unless it is a _DECIMAL.  int() alone would also
-    read other scripts' digits (١ is 1) and underscores between digits (1_0 is 10)."""
-    if _DECIMAL.fullmatch(text) is None:
-        raise ValueError(f"not an ASCII decimal integer: {_shown(text)!r}")
-    return int(text)
-
-
-def _too_long(token: str) -> str:
-    """'has N digits, more than M' when token is a _DECIMAL that int() refuses for
-    having more than sys.get_int_max_str_digits() digits, else ''."""
-    digits = _DECIMAL.fullmatch(token)
-    return f"has {len(digits[1])} digits, more than {sys.get_int_max_str_digits()}" if digits else ""
+def _parse_int(text: str, where: str, bad: str) -> int:
+    """text as an int if it is a _DECIMAL, else ValueError(f"{bad} {_shown(text)!r}"); a
+    _DECIMAL that int() refuses for having more than M = sys.get_int_max_str_digits()
+    digits is f"integer out of range: {where}has N digits, more than M".  The one reader
+    of a command-line integer: int() alone would also read other scripts' digits (١ is
+    1) and underscores between digits (1_0 is 10)."""
+    digits = _DECIMAL.fullmatch(text)
+    if digits is None:
+        raise ValueError(f"{bad} {_shown(text)!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer out of range: {where}has {len(digits[1])} digits, more than {sys.get_int_max_str_digits()}") from None
 
 
 def _shown(text: str) -> str:

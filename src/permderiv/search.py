@@ -80,7 +80,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import convexity, triangle
 from .convexity import convex_prefix_ok
-from .perm_core import Permutation, _parse_int, _shown, _too_long
+from .perm_core import Permutation, _parse_int, _shown
 
 MAX_SEARCH_ORDER = 64
 LIST_CAP = 10  # a list holds every match, so a walker list stops here by default
@@ -568,14 +568,8 @@ PROPERTY_FORMS = tuple(name if name in TABLE_KINDS else f"{name}=K" for name in 
 
 
 def int_parameter(name: str, param: str) -> int:
-    """The integer param of the property name=param, or ValueError naming the property
-    and showing at most the ends of a long param."""
-    try:
-        return _parse_int(param)
-    except ValueError:
-        if _too_long(param):
-            raise ValueError(f"integer out of range: {name} property {_too_long(param)}") from None
-        raise ValueError(f"{name} property needs an integer, got {_shown(param)!r}") from None
+    """The integer param of the property name=param, or ValueError naming the property."""
+    return _parse_int(param, f"{name} property ", f"{name} property needs an integer, got")
 
 
 def searchable(text: str) -> Searchable | None:

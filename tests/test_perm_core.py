@@ -241,7 +241,11 @@ def test_invalid_input_reasons_stay_short_for_long_inputs():
     assert "token 100000 is 'x'" in reason
 
 
-@pytest.mark.parametrize("text,token", [("1" * 5000, 1), ("1,2,-" + "3" * 5000, 3), ("4, +" + "5" * 4301 + " ,6", 2)])
+@pytest.mark.parametrize("text,token", [
+    ("1" * 5000, 1), ("1,2,-" + "3" * 5000, 3), ("4, +" + "5" * 4301 + " ,6", 2),
+    # the second, naming pass finds the bad token far into a long input
+    pytest.param(",".join(["1"] * 99999 + ["2" * 5000]), 100000, id="last-of-100000"),
+])
 def test_too_long_integer_token_is_out_of_range_not_malformed(text, token):
     with pytest.raises(ValueError) as info:
         parse_int_sequence(text)
