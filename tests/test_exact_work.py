@@ -12,17 +12,15 @@ import pytest
 
 from permderiv import costas, search
 
-RECURSIONS = ("count", "count_row1", "first")
 
-
-def _calls(work) -> dict[str, int]:
-    """The calls of each of RECURSIONS in search.py while work() runs."""
-    calls = dict.fromkeys(RECURSIONS, 0)
+def _calls(name: str, work) -> int:
+    """The calls of search.py's functions called name while work() runs."""
+    calls = 0
 
     def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_name in calls and code.co_filename == search.__file__:
-            calls[code.co_name] += 1
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == name and frame.f_code.co_filename == search.__file__:
+            calls += 1
 
     sys.setprofile(profile)
     try:
@@ -54,6 +52,6 @@ def in_process(monkeypatch):
     ],
 )
 def test_recursion_calls_are_pinned(in_process, work, name, pin):
-    calls = _calls(work)
-    assert calls[name], f"no call of {name} seen: was it renamed?"
-    assert calls[name] == pin
+    calls = _calls(name, work)
+    assert calls, f"no call of {name} seen: was it renamed?"
+    assert calls == pin
