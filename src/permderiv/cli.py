@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from . import costas, dpair, search, triangle, variation, verify
+from . import dpair, variation
 from .perm_core import (
     Permutation,
     _parse_int,
@@ -38,9 +38,20 @@ def _int_option(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    """A parser whose errors raise ValueError.  A subcommand's parser is given populate, which adds
+    its arguments after --format the first time it parses, so a request adds only its own."""
+
+    def __init__(self, *args, populate=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.register("type", int, _int_option)
+        self._populate = populate
+
+    def parse_known_args(self, args=None, namespace=None):
+        populate, self._populate = self._populate, None
+        if populate is not None:
+            self.add_argument("--format", choices=("text", "json", "csv"), default="text")
+            populate(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):  # one-line diagnostics, exit code 2
         raise ValueError(message)
@@ -59,35 +70,46 @@ class CommandOutput:
     result: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    rows: tuple[search.CountRow, ...] | None = None  # a count table, the only output with CSV
+    rows: tuple | None = None  # a count table of search.CountRow, the only output with CSV
+
+
+def _lipschitz(param: str):
+    from .search import int_parameter
+
+    return partial(variation.is_lipschitz, bound=int_parameter("lipschitz", param))
 
 
 def _dpair(param: str):
+    from .search import int_parameter
+
     values = param.split(",")
     if len(values) != 2:
         raise ValueError(f"dpair property needs two values, got {_shown(param)!r}")
-    return partial(dpair.is_dpair_realization, pair=dpair.DPair(*(search.int_parameter("dpair", v) for v in values)))
+    return partial(dpair.is_dpair_realization, pair=dpair.DPair(*(int_parameter("dpair", v) for v in values)))
 
 
-# Each check-only property by printed form: bare, its predicate; NAME=X, a builder of it from X.
+# Each check-only property by printed form: bare, the package's public name of its predicate, resolved
+# when a check runs it (costas loads search); NAME=X, a builder of the predicate from X.
 _CHECK_ONLY = {
-    "mid-alternating": variation.is_mid_alternating,
-    "centrosymmetric": costas.is_centrosymmetric,
-    "costas-centrosymmetric": costas.is_costas_centrosymmetric,
-    "lipschitz=L": lambda param: partial(variation.is_lipschitz, bound=search.int_parameter("lipschitz", param)),
+    "mid-alternating": "is_mid_alternating",
+    "centrosymmetric": "is_centrosymmetric",
+    "costas-centrosymmetric": "is_costas_centrosymmetric",
+    "lipschitz=L": _lipschitz,
     "dpair=P,Q": _dpair,
 }
 
 
 def _check_property(text: str):
     """Map a --property value to a predicate on Permutation: searchable or check-only."""
-    prop = search.searchable(text)
+    from .search import searchable
+
+    prop = searchable(text)
     if prop is not None:
         return prop.holds
     name, sep, param = text.partition("=")
     for form, entry in _CHECK_ONLY.items():
         if form.partition("=")[:2] == (name, sep):
-            return entry(param) if sep else entry
+            return entry(param) if sep else getattr(sys.modules[__package__], entry)
     raise ValueError(f"unknown property {_shown(text)!r}")
 
 
@@ -119,6 +141,8 @@ def _cmd_integrate(args) -> CommandOutput:
 
 
 def _cmd_triangle(args) -> CommandOutput:
+    from . import triangle
+
     values = parse_int_sequence(args.sequence)
     t = triangle.build(values)
     return CommandOutput(
@@ -192,6 +216,8 @@ def _cmd_construct(args) -> CommandOutput:
 
 
 def _cmd_enumerate(args) -> CommandOutput:
+    from . import search
+
     perms = [str(p) for p in search.matches(args.property, args.n, collect=True)]
     return CommandOutput(
         lines=perms,
@@ -201,6 +227,8 @@ def _cmd_enumerate(args) -> CommandOutput:
 
 
 def _cmd_count(args) -> CommandOutput:
+    from . import search
+
     row = search.count_row(args.property, args.n)
     return CommandOutput(
         lines=[f"n={row.n} total={row.total} count={row.count} fraction={row.fraction:.1f}"],
@@ -211,10 +239,14 @@ def _cmd_count(args) -> CommandOutput:
 
 
 def _cmd_table(args) -> CommandOutput:
+    from . import search
+
     return _table_output(search.table(args.kind, args.max_n), inputs={"kind": args.kind, "max_n": args.max_n})
 
 
 def _cmd_gamma(args) -> CommandOutput:
+    from . import costas
+
     m, witness = costas.gamma(args.n)
     text = format_int_sequence(witness)
     return CommandOutput(
@@ -225,6 +257,8 @@ def _cmd_gamma(args) -> CommandOutput:
 
 
 def _cmd_verify(args) -> CommandOutput:
+    from . import verify
+
     if args.target == "figure1":
         max_n = len(verify.REFERENCE_ONE_COSTAS) if args.max_n is None else args.max_n
         rows, ok = verify.check_reference_counts(max_n)
@@ -250,61 +284,66 @@ def _cmd_verify(args) -> CommandOutput:
     )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="permderiv", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _check_arguments(p: _Parser) -> None:
+    from .search import PROPERTY_FORMS
 
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derive", parents=[common], help="derivative of a permutation")
-    p.add_argument("permutation", help="comma-separated entries, e.g. 5,2,7,4,1,6,3")
-    p.set_defaults(handler=_cmd_derive)
-
-    p = sub.add_parser("integrate", parents=[common], help="permutation with the given derivative")
-    p.add_argument("derivative", help="comma-separated differences, e.g. -3,5,-3,-3,5,-3")
-    p.set_defaults(handler=_cmd_integrate)
-
-    p = sub.add_parser("triangle", parents=[common], help="difference triangle of a distinct-integer sequence")
-    p.add_argument("sequence")
-    p.add_argument("--render", choices=("plain", "staggered"), default="plain")
-    p.set_defaults(handler=_cmd_triangle)
-
-    p = sub.add_parser("check", parents=[common], help="test a permutation property")
-    p.add_argument("--property", required=True, help=" | ".join((*search.PROPERTY_FORMS, *_CHECK_ONLY)))
+    p.add_argument("--property", required=True, help=" | ".join((*PROPERTY_FORMS, *_CHECK_ONLY)))
     p.add_argument("permutation")
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("construct", parents=[common], help="build a named extremal permutation")
+
+def _construct_arguments(p: _Parser) -> None:
     p.add_argument("construction", choices=_CONSTRUCTIONS)
     for name, text in _CONSTRUCT_OPTIONS.items():
         p.add_argument(f"--{name}", type=int, help=text)
-    p.set_defaults(handler=_cmd_construct)
 
-    searched = argparse.ArgumentParser(add_help=False, parents=[common])
-    searched.add_argument("--property", required=True, help=" | ".join(search.PROPERTY_FORMS))
-    searched.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("enumerate", parents=[searched], help="list all permutations with a property")
-    p.set_defaults(handler=_cmd_enumerate)
+def _searched_arguments(p: _Parser) -> None:
+    from .search import PROPERTY_FORMS
 
-    p = sub.add_parser("count", parents=[searched], help="count permutations with a property")
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("table", parents=[common], help="count table for orders 1..max-n")
-    p.add_argument("--kind", choices=search.TABLE_KINDS, required=True)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("gamma", parents=[common], help="longest Costas subpermutation of order n")
+    p.add_argument("--property", required=True, help=" | ".join(PROPERTY_FORMS))
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_gamma)
 
-    p = sub.add_parser("verify", parents=[common], help="bundled self-checks")
+
+def _table_arguments(p: _Parser) -> None:
+    from .search import TABLE_KINDS
+
+    p.add_argument("--kind", choices=TABLE_KINDS, required=True)
+    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+
+
+def _triangle_arguments(p: _Parser) -> None:
+    p.add_argument("sequence")
+    p.add_argument("--render", choices=("plain", "staggered"), default="plain")
+
+
+def _verify_arguments(p: _Parser) -> None:
     p.add_argument("target", choices=("figure1", "examples"))
     p.add_argument("--max-n", type=int, dest="max_n")
-    p.set_defaults(handler=_cmd_verify)
 
+
+# Each subcommand, in help order: its one-line help, its handler and the function that adds its arguments.
+_SUBCOMMANDS = {
+    "derive": ("derivative of a permutation", _cmd_derive,
+               lambda p: p.add_argument("permutation", help="comma-separated entries, e.g. 5,2,7,4,1,6,3")),
+    "integrate": ("permutation with the given derivative", _cmd_integrate,
+                  lambda p: p.add_argument("derivative", help="comma-separated differences, e.g. -3,5,-3,-3,5,-3")),
+    "triangle": ("difference triangle of a distinct-integer sequence", _cmd_triangle, _triangle_arguments),
+    "check": ("test a permutation property", _cmd_check, _check_arguments),
+    "construct": ("build a named extremal permutation", _cmd_construct, _construct_arguments),
+    "enumerate": ("list all permutations with a property", _cmd_enumerate, _searched_arguments),
+    "count": ("count permutations with a property", _cmd_count, _searched_arguments),
+    "table": ("count table for orders 1..max-n", _cmd_table, _table_arguments),
+    "gamma": ("longest Costas subpermutation of order n", _cmd_gamma,
+              lambda p: p.add_argument("--n", type=int, required=True)),
+    "verify": ("bundled self-checks", _cmd_verify, _verify_arguments),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="permderiv", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, handler, populate) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=text, populate=populate).set_defaults(handler=handler)
     return parser
 
 
@@ -314,7 +353,9 @@ def _render(args, out: CommandOutput, runtime: float) -> str:
     if args.format == "csv":
         if out.rows is None:
             raise ValueError(f"--format csv is not supported for {args.command!r}")
-        lines = [",".join(search.CountRow._fields)]
+        from .search import CountRow
+
+        lines = [",".join(CountRow._fields)]
         lines.extend(f"{r.n},{r.total},{r.count},{r.fraction:.1f}" for r in out.rows)
         return "\n".join(lines)
     metadata = dict(out.metadata)

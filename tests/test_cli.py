@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 
@@ -613,6 +614,47 @@ def test_construct_help_lists_each_construction(capsys, monkeypatch):
     assert usage.rpartition("{")[2].rstrip("}").split(",") == list(cli._CONSTRUCTIONS) == [
         "dpair", "min-local", "max-global", "maximin", "pi", "pi-star", "realize-shift",
     ]
+
+
+# Each subcommand's arguments as its --help lists them, one per line: the positionals, then the options.
+HELP_ARGUMENTS = {
+    "derive": ["permutation", "--format {text,json,csv}"],
+    "integrate": ["derivative", "--format {text,json,csv}"],
+    "triangle": ["sequence", "--format {text,json,csv}", "--render {plain,staggered}"],
+    "check": ["permutation", "--format {text,json,csv}", "--property PROPERTY"],
+    "construct": ["{dpair,min-local,max-global,maximin,pi,pi-star,realize-shift}", "--format {text,json,csv}",
+                  "--a A", "--b B", "--n N", "--k K", "--s S"],
+    "enumerate": ["--format {text,json,csv}", "--property PROPERTY", "--n N"],
+    "count": ["--format {text,json,csv}", "--property PROPERTY", "--n N"],
+    "table": ["--format {text,json,csv}", "--kind {one-costas,costas,convex}", "--max-n MAX_N"],
+    "gamma": ["--format {text,json,csv}", "--n N"],
+    "verify": ["{figure1,examples}", "--format {text,json,csv}", "--max-n MAX_N"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_ARGUMENTS)
+def test_subcommand_help_lists_each_argument(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "400")  # one help line per argument
+    with pytest.raises(SystemExit) as exit_:
+        cli.run([command, "--help"])
+    assert exit_.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = [line[2:].split("  ")[0] for line in lines if line[:2] == "  " and line[2:3] != " "]
+    assert [head for head in listed if head != "-h, --help"] == HELP_ARGUMENTS[command]
+
+
+def test_one_parser_parses_a_subcommand_again_and_another_between():
+    # each subcommand adds its arguments the first time it parses, and only then
+    parser = cli.build_parser()
+    derive = ["derive", "5,2,7,4,1,6,3", "--format", "json"]
+    derived = argparse.Namespace(command="derive", format="json", permutation="5,2,7,4,1,6,3", handler=cli._cmd_derive)
+    count = ["count", "--property", "costas", "--n", "5"]
+    counted = argparse.Namespace(command="count", format="text", property="costas", n=5, handler=cli._cmd_count)
+    assert parser.parse_args(derive) == derived
+    assert parser.parse_args(derive) == derived
+    assert parser.parse_args(count) == counted
+    assert parser.parse_args(derive) == derived
+    assert parser.parse_args(count) == counted
 
 
 def test_check_accepts_every_listed_form(capsys, monkeypatch):
