@@ -7,7 +7,8 @@ the pruned enumeration engine in search; the command line in cli.
 
 Each public name below resolves on first use, from the module that defines
 it: `import permderiv` loads no submodule, and `import permderiv.perm_core`
-loads perm_core alone.
+loads perm_core alone. Likewise a command-line request imports only the
+modules its subcommand runs.
 """
 __version__ = "0.1.0"
 
