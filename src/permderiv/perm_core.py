@@ -378,10 +378,10 @@ def complement(p: Permutation) -> Permutation:
 
 def inverse(p: Permutation) -> Permutation:
     """The inverse permutation (matrix transpose)."""
-    inv = [0] * p.n
-    for i, v in enumerate(p.entries):
-        inv[v - 1] = i + 1
-    return Permutation._of(tuple(inv))
+    inv = [0] * (p.n + 1)
+    for i, v in enumerate(p.entries, 1):
+        inv[v] = i
+    return Permutation._of(tuple(islice(inv, 1, None)))
 
 
 def rotate90(p: Permutation) -> Permutation:

@@ -54,9 +54,9 @@ loop over W workers (_spread): the calling process walks tasks 0, W, 2W, ...
 itself, and W-1 forked children, each pinned to a CPU of its own, walk the
 others, child w tasks w, w+W, ...; the parent reads their results in task
 order, so every result and witness is the serial walk's, and no child
-outlives the call.  W is the number of CPUs the process may use, from a
-count's first task at order 9 or more and once a longest-prefix walk has run
-25 ms, when there are two or more, os can fork and no other thread runs;
+outlives the call.  W is the number of CPUs the process may use, from the
+first task of a count at order 9 or more and of a longest-prefix walk at order
+14 or more, when there are two or more, os can fork and no other thread runs;
 otherwise W is 1, which is the walk in process.  Collect and optimize always
 run in process: sending their lists of matches back would cost more than a
 second CPU saves, and an objective, like a plain predicate, may be impure.
@@ -74,7 +74,6 @@ import math
 import operator
 import os
 import sys
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -323,36 +322,35 @@ def _extend(n: int, depth: int, width: int, keep: int, prefix: tuple[int, ...], 
                            (new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)))
 
 
-# A walk under a RowsRule of order _SPREAD_ORDER or more spreads over forked
-# children: a count from its first task, a longest-prefix walk once its tasks
-# have run _SPREAD_AFTER_S in process.  Forking and reaping a child costs a few
-# ms.  Below order 9 the largest walk, k-Costas K = 0 at order 8, takes about
-# 8 ms in process and 10 ms spread, so it stays in process.  At order 9 the
-# smallest counts, Costas and one-Costas 9, take about 19 ms in process and
-# 17 ms spread, but gamma(9..13) finish in under 4 ms: gamma(13) took 2.1-2.4 ms
-# in process and 4.9-5.2 ms forked at once (medians, 2-core x86 VM, Python 3.11).
+# A walk under a RowsRule spreads over forked children from its first task at
+# order _SPREAD_ORDER or more for a count, _FIRST_HIT_SPREAD_ORDER or more for a
+# longest-prefix walk, which stops at its first hit.  Forking and reaping a child
+# costs a few ms, so a walk spreads once it makes tens of thousands of recursion
+# calls (exact, counted as tests/test_exact_work.py counts them): the order-9 counts make 24,687
+# (Costas) and 32,961 (one-Costas), and gamma(14) 25,896 first calls, while
+# gamma(13) makes 1,761 and the order-8 counts at most 22,675 (k-Costas K = 0,
+# whose calls test no row).  Whether a walk forks never depends on the machine's speed.
 _SPREAD_ORDER = 9
-_SPREAD_AFTER_S = 0.025
+_FIRST_HIT_SPREAD_ORDER = 14
 
 
-def _cpus(rule: Callable[[Sequence[int]], bool], n: int) -> list[int]:
-    """The CPUs a walk may spread over, at least two, or [] when it stays in process:
-    rule must be a RowsRule (pure, so a child can walk it for the parent), n at
-    least _SPREAD_ORDER, os must fork and name the CPUs this process may use, and
-    no other thread may run, so fork copies no lock some thread holds."""
+def _cpus(rule: Callable[[Sequence[int]], bool], n: int, spread_order: int) -> list[int]:
+    """The CPUs an order-n walk may spread over, at least two, or [] when it stays in
+    process: rule must be a RowsRule (pure, so a child can walk it for the parent), n
+    at least spread_order, os must fork and name the CPUs this process may use, and no
+    other thread may run, so fork copies no lock some thread holds."""
     threading = sys.modules.get("threading")
-    if (not isinstance(rule, RowsRule) or n < _SPREAD_ORDER or not hasattr(os, "fork")
+    if (not isinstance(rule, RowsRule) or n < spread_order or not hasattr(os, "fork")
             or threading is not None and threading.active_count() > 1):
         return []
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     return cpus if len(cpus) > 1 else []
 
 
-def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable, lead: float | None = None):
+def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable, spread_order: int):
     """Yield work(prefix, state) for each task of an order-n walk under rule, in task order.
 
-    Given a lead, the tasks run in process until they have taken lead seconds.
-    The rest go to W workers, W = len(_cpus(rule, n)), or 1 when it names none:
+    The tasks go to W workers, W = len(_cpus(rule, n, spread_order)), or 1 when it names none:
     the parent walks tasks 0, W, 2W, ... and child w, forked and pinned to the
     w-th CPU, tasks w, w+W, ..., writing its results to a pipe the parent reads
     in task order.  So the results, and a consumer that stops at the first one
@@ -362,16 +360,7 @@ def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable
     are dropped and the tasks go on with one worker.  Every child is killed and
     reaped before this returns or raises; close the generator when stopping early.
     """
-    tasks = iter(tasks)
-    if lead is not None:
-        deadline = time.perf_counter() + lead
-        for prefix, state in tasks:
-            yield work(prefix, state)
-            if time.perf_counter() > deadline:
-                break
-        else:
-            return
-    for cpus in (_cpus(rule, n), ()):  # the second pass only when a pipe or fork fails
+    for cpus in (_cpus(rule, n, spread_order), ()):  # the second pass only when a pipe or fork fails
         readers, pids = [], []
         try:
             try:
@@ -484,7 +473,7 @@ def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[
     first = _first_rows if isinstance(rule, RowsRule) else _first_reaching
     for reach in range(n, 0, -1):
         tasks = _frontier(rule, n, min(_depth(n), reach))
-        hits = _spread(rule, n, tasks, functools.partial(first, rule, n, reach), _SPREAD_AFTER_S)
+        hits = _spread(rule, n, tasks, functools.partial(first, rule, n, reach), _FIRST_HIT_SPREAD_ORDER)
         try:
             found = next(filter(None, hits), ())
         finally:
@@ -508,7 +497,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     halved = isinstance(rule, RowsRule)
     tasks = _frontier(rule, n, _depth(n), (1 << (n + 1) // 2 + 1) - 2 if halved else None)
     if mode == "count" and halved:
-        return sum(_spread(rule, n, tasks, functools.partial(_count_rows, rule, n)))
+        return sum(_spread(rule, n, tasks, functools.partial(_count_rows, rule, n), _SPREAD_ORDER))
     better = operator.gt if spec.direction == "max" else operator.lt
     flip = (n + 1).__sub__
     count = 0

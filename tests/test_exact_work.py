@@ -36,7 +36,7 @@ def _count(rule, n: int):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    monkeypatch.setattr(search, "_cpus", lambda rule, n: [])
+    monkeypatch.setattr(search, "_cpus", lambda rule, n, spread_order: [])
 
 
 @pytest.mark.parametrize(

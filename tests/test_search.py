@@ -9,6 +9,7 @@ import pickle
 import random
 import signal
 import threading
+import time
 
 import pytest
 
@@ -21,6 +22,9 @@ from permderiv.search import (
     one_costas_prefix_ok,
 )
 from test_costas import reference_gamma
+
+# the orders each walk spreads from, read before any fixture lowers them
+SPREAD_ORDER, FIRST_HIT_SPREAD_ORDER = search._SPREAD_ORDER, search._FIRST_HIT_SPREAD_ORDER
 
 
 def naive_count(n, full_predicate):
@@ -343,11 +347,11 @@ def test_optimize_calls_its_objective_once_per_match(n):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Spread every RowsRule count from its first task, and longest-prefix walk after
-    it, over the parent and two forked children, three CPUs, more than most boxes
-    have; the pids forked, in order."""
+    """Spread every RowsRule count and longest-prefix walk from its first task over
+    the parent and two forked children, three CPUs, more than most boxes have; the
+    pids forked, in order."""
     monkeypatch.setattr(search, "_SPREAD_ORDER", 1)
-    monkeypatch.setattr(search, "_SPREAD_AFTER_S", 0.0)
+    monkeypatch.setattr(search, "_FIRST_HIT_SPREAD_ORDER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
     forked, fork = [], os.fork
@@ -385,8 +389,8 @@ def test_spread_counts_equal_the_serial_walk(forks, n):
 @pytest.mark.parametrize("n", range(1, 14))
 def test_spread_gamma_matches_reference_search(forks, n):
     assert costas.gamma(n) == reference_gamma(n)
-    # the search forks only when the first task holds no witness
-    assert len(forks) == (2 if n in (9, 11, 12, 13) else 0)
+    # one walk, for length n, forked from its first task
+    assert len(forks) == 2
     assert_no_child_left()
 
 
@@ -464,22 +468,20 @@ def test_failed_fork_walks_on_in_process(forks, monkeypatch):
 
 @pytest.mark.parametrize("spread", [True, False], ids=["spread", "in-process"])
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 7])
-def test_spread_yields_every_task_in_order(forks, monkeypatch, size, spread):
+def test_spread_yields_every_task_in_order(forks, size, spread):
     # three workers: below three tasks a child has none, and from four a child's
-    # share ends before the parent's; with no CPUs named the parent walks them all
-    if not spread:
-        monkeypatch.setattr(search, "_cpus", lambda rule, n: [])
+    # share ends before the parent's; below its spread order the parent walks them all
     tasks = list(itertools.islice(search._frontier(costas_prefix_ok, 9, 3), size))
     assert len(tasks) == size
     work = lambda prefix, state: (prefix, state)
-    assert list(search._spread(costas_prefix_ok, 9, tasks, work)) == [work(*t) for t in tasks]
+    assert list(search._spread(costas_prefix_ok, 9, tasks, work, 9 if spread else 10)) == [work(*t) for t in tasks]
     assert len(forks) == (2 if spread else 0)
     assert_no_child_left()
 
 
 def test_spread_search_stopped_early_leaves_no_child(forks):
     tasks = search._frontier(costas_prefix_ok, 9, 3)
-    hits = search._spread(costas_prefix_ok, 9, tasks, lambda prefix, state: prefix)
+    hits = search._spread(costas_prefix_ok, 9, tasks, lambda prefix, state: prefix, 9)
     assert next(hits) == (1, 2, 4)
     assert next(hits) == (1, 2, 5)
     hits.close()
@@ -487,15 +489,32 @@ def test_spread_search_stopped_early_leaves_no_child(forks):
     assert_no_child_left()
 
 
-def test_counts_spread_from_their_first_task_and_gamma_after_its_lead(forks, monkeypatch):
-    # a lead no walk here reaches: counts fork at once, gamma never
-    monkeypatch.setattr(search, "_SPREAD_ORDER", 9)
-    monkeypatch.setattr(search, "_SPREAD_AFTER_S", 60.0)
+@pytest.mark.parametrize("clock", ["real", "jumping"])
+def test_the_walk_order_alone_decides_each_fork(forks, monkeypatch, clock):
+    # the real orders: a count spreads from order 9 and gamma from 14, each from
+    # its first task, whatever time the walk reads, even an hour more a call
+    monkeypatch.setattr(search, "_SPREAD_ORDER", SPREAD_ORDER)
+    monkeypatch.setattr(search, "_FIRST_HIT_SPREAD_ORDER", FIRST_HIT_SPREAD_ORDER)
+    if clock == "jumping":
+        monkeypatch.setattr(time, "perf_counter", itertools.count(0.0, 3600.0).__next__)
+    forked, first_rows = [], search._first_rows
+
+    def first_task(*args):  # the forks made by the first task the parent walks
+        if not forked:
+            forked.append(len(forks))
+        return first_rows(*args)
+
+    monkeypatch.setattr(search, "_first_rows", first_task)
+    assert costas.gamma(13) == reference_gamma(13)
+    assert forked == [0] and forks == []
+    forked.clear()
+    assert costas.gamma(14) == (14, (1, 2, 5, 7, 14, 8, 12, 11, 6, 4, 13, 10, 3, 9))
+    assert forked == [2] and len(forks) == 2
+    forks.clear()
+    assert search.count_costas(8) == 444
+    assert forks == []
     assert search.count_costas(9) == 760
     assert len(forks) == 2
-    forks.clear()
-    assert costas.gamma(12) == reference_gamma(12)
-    assert forks == []
     assert_no_child_left()
 
 
