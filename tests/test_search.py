@@ -497,19 +497,19 @@ def test_the_walk_order_alone_decides_each_fork(forks, monkeypatch, clock):
     monkeypatch.setattr(search, "_FIRST_HIT_SPREAD_ORDER", FIRST_HIT_SPREAD_ORDER)
     if clock == "jumping":
         monkeypatch.setattr(time, "perf_counter", itertools.count(0.0, 3600.0).__next__)
-    forked, first_rows = [], search._first_rows
+    at_first_task, first_rows = [], search._first_rows
 
-    def first_task(*args):  # the forks made by the first task the parent walks
-        if not forked:
-            forked.append(len(forks))
+    def first_task(*args):  # the forks made before the parent walks its first task
+        if not at_first_task:
+            at_first_task.append(len(forks))
         return first_rows(*args)
 
     monkeypatch.setattr(search, "_first_rows", first_task)
     assert costas.gamma(13) == reference_gamma(13)
-    assert forked == [0] and forks == []
-    forked.clear()
+    assert at_first_task == [0] and forks == []
+    at_first_task.clear()
     assert costas.gamma(14) == (14, (1, 2, 5, 7, 14, 8, 12, 11, 6, 4, 13, 10, 3, 9))
-    assert forked == [2] and len(forks) == 2
+    assert at_first_task == [2] and len(forks) == 2
     forks.clear()
     assert search.count_costas(8) == 444
     assert forks == []
