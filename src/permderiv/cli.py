@@ -347,12 +347,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The requests, by subcommand and verify's target, whose output is a count table: the only ones with CSV.
+_CSV_REQUESTS = {("count", None), ("table", None), ("verify", "figure1")}
+
+
 def _render(args, out: CommandOutput, runtime: float) -> str:
     if args.format == "text":
         return "\n".join(out.lines)
     if args.format == "csv":
-        if out.rows is None:
-            raise ValueError(f"--format csv is not supported for {args.command!r}")
         from .search import CountRow
 
         lines = [",".join(CountRow._fields)]
@@ -376,6 +378,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and (args.command, getattr(args, "target", None)) not in _CSV_REQUESTS:
+            raise ValueError(f"--format csv is not supported for {args.command!r}")
         started = time.perf_counter()
         out: CommandOutput = args.handler(args)
         rendered = _render(args, out, time.perf_counter() - started)

@@ -5,11 +5,10 @@ order, masking used values and cutting subtrees as soon as a prefix fails;
 because the predicate is hereditary (a failing prefix never extends to an
 accepted permutation) the pruned walk visits exactly the permutations the
 naive n!-filter would accept.  Collecting and optimizing differ only in what
-they do at the walk's leaves.  The longest-prefix search asks each walk for
-one sequence of a given length, n first, then n-1 and so on, so it calls
-back once, on its result, not at every node; under a RowsRule _first_rows
-walks with no prefix list and no leaf, skipping a candidate that leaves no
-value with new differences in rows 1..3.
+they do at the walk's leaves.  The longest-prefix search takes a RowsRule
+only and asks _first_rows, a walk with no prefix list and no leaf, for the
+first sequence of a given length, n first, then n-1 and so on, skipping a
+candidate that leaves no value with new differences in rows 1..3.
 
 The shipped predicates are module-level and picklable; called on a prefix
 they judge it whole.  Each walk is a bit recursion over one state layout, a
@@ -171,26 +170,24 @@ def _root(n: int, first: int | None = None) -> tuple[int, int, int, int]:
 
 
 def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[list], Any],
-          state: tuple[int, int, int, int], prefix: Sequence[int] = (), reach: int | None = None) -> None:
+          state: tuple[int, int, int, int], prefix: Sequence[int] = ()) -> None:
     """Visit, depth-first in ascending order, the sequences of distinct values from 1..n
     that extend prefix, whose every nonempty prefix prefix_ok accepts, from the walker's
     state after prefix (see _root and _frontier).
 
-    leaf(prefix) is called on each visited sequence of length at least reach
-    (default n: the permutations), with the walker's own list; a true return
-    ends the walk.  One recursion serves every predicate: a RowsRule is tested
-    inline (see its docstring) and never called; any other one has no rows to
-    test (keep is 0) and is called on the walker's list, candidate appended.
+    leaf(prefix) is called on each visited permutation, with the walker's own
+    list.  One recursion serves every predicate: a RowsRule is tested inline
+    (see its docstring) and never called; any other one has no rows to test
+    (keep is 0) and is called on the walker's list, candidate appended.
     """
-    reach = n if reach is None else reach
     prefix = list(prefix)
     append, pop = prefix.append, prefix.pop
     width, keep = _row_layout(prefix_ok, n)
     call = None if isinstance(prefix_ok, RowsRule) else prefix_ok
 
-    def visit(used: int, tails: int, free: int, choices: int) -> bool:
-        if len(prefix) >= reach and leaf(prefix):
-            return True
+    def visit(used: int, tails: int, free: int, choices: int) -> None:
+        if not free:
+            return leaf(prefix)
         while choices:
             low = choices & -choices
             choices ^= low
@@ -201,11 +198,9 @@ def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[li
             append(v)
             rest = free ^ low
             new |= used
-            if (call is None or call(prefix)) and visit(
-                    new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)):
-                return True
+            if call is None or call(prefix):
+                visit(new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v))
             pop()
-        return False
 
     visit(*state)
 
@@ -334,23 +329,22 @@ _SPREAD_ORDER = 9
 _FIRST_HIT_SPREAD_ORDER = 14
 
 
-def _cpus(rule: Callable[[Sequence[int]], bool], n: int, spread_order: int) -> list[int]:
-    """The CPUs an order-n walk may spread over, at least two, or [] when it stays in
-    process: rule must be a RowsRule (pure, so a child can walk it for the parent), n
-    at least spread_order, os must fork and name the CPUs this process may use, and no
-    other thread may run, so fork copies no lock some thread holds."""
+def _cpus(n: int, spread_order: int) -> list[int]:
+    """The CPUs an order-n walk under a RowsRule (pure, so a child can walk it for the
+    parent) may spread over, at least two, or [] when it stays in process: n must be
+    at least spread_order, os must fork and name the CPUs this process may use, and
+    no other thread may run, so fork copies no lock some thread holds."""
     threading = sys.modules.get("threading")
-    if (not isinstance(rule, RowsRule) or n < spread_order or not hasattr(os, "fork")
-            or threading is not None and threading.active_count() > 1):
+    if n < spread_order or not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
         return []
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     return cpus if len(cpus) > 1 else []
 
 
-def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable, spread_order: int):
-    """Yield work(prefix, state) for each task of an order-n walk under rule, in task order.
+def _spread(n: int, tasks, work: Callable, spread_order: int):
+    """Yield work(prefix, state) for each task of an order-n walk under a RowsRule, in task order.
 
-    The tasks go to W workers, W = len(_cpus(rule, n, spread_order)), or 1 when it names none:
+    The tasks go to W workers, W = len(_cpus(n, spread_order)), or 1 when it names none:
     the parent walks tasks 0, W, 2W, ... and child w, forked and pinned to the
     w-th CPU, tasks w, w+W, ..., writing its results to a pipe the parent reads
     in task order.  So the results, and a consumer that stops at the first one
@@ -360,7 +354,7 @@ def _spread(rule: Callable[[Sequence[int]], bool], n: int, tasks, work: Callable
     are dropped and the tasks go on with one worker.  Every child is killed and
     reaped before this returns or raises; close the generator when stopping early.
     """
-    for cpus in (_cpus(rule, n, spread_order), ()):  # the second pass only when a pipe or fork fails
+    for cpus in (_cpus(n, spread_order), ()):  # the second pass only when a pipe or fork fails
         readers, pids = [], []
         try:
             try:
@@ -415,19 +409,14 @@ def _child(tasks, work: Callable, cpu: int, fd: int) -> None:
         os._exit(status)
 
 
-def _first_reaching(rule: Callable[[Sequence[int]], bool], n: int, reach: int,
-                    prefix: tuple[int, ...], state) -> tuple[int, ...]:
-    """The first sequence of at least reach values the walk from (prefix, state) visits, or ()."""
-    found: list[tuple[int, ...]] = []
-    _walk(rule, n, lambda seq: found.append(tuple(seq)) or True, state, prefix, reach)
-    return found[0] if found else ()
-
-
 def _first_rows(rule: RowsRule, n: int, reach: int, prefix: tuple[int, ...], state) -> tuple[int, ...]:
-    """_first_reaching under a RowsRule, by _walk's recursion with no prefix list or leaf:
-    it counts down the values left and returns the path found.  A candidate, tested
-    on every row, is skipped unless it is the last or its child's choices, filtered on
-    rows 1..3 (last and last2 are 0 before they exist: an empty row), are not empty."""
+    """The first sequence of reach values, extending a task (prefix, state) as _frontier
+    yields it, whose every prefix rule accepts, or ().
+
+    _walk's recursion with no prefix list or leaf: it counts down the values left
+    and returns the path found.  A candidate, tested on every row, is skipped
+    unless it is the last or its child's choices, filtered on rows 1..3 (last and
+    last2 are 0 before they exist: an empty row), are not empty."""
     width, keep = _row_layout(rule, n)
     row2, row3 = width + n, 2 * width + n
 
@@ -457,23 +446,24 @@ def _first_rows(rule: RowsRule, n: int, reach: int, prefix: tuple[int, ...], sta
     return prefix + found if found else ()
 
 
-def longest_prefix(prefix_ok: Callable[[Sequence[int]], bool], n: int) -> tuple[int, ...]:
+def longest_prefix(rule: RowsRule, n: int) -> tuple[int, ...]:
     """The first, in ascending order, of the longest sequences of distinct values
-    from 1..n whose every prefix prefix_ok accepts.
+    from 1..n whose every prefix rule accepts.
 
-    Walks for length m = n, n-1, ... and stops at the first sequence of that
-    length, so the walk calls back once, on the result: the walk's tasks run
-    in order until one holds such a sequence.  When a length-n sequence exists
-    that is one walk; otherwise each shorter m walks the tree again, at most
-    n - len(result) more walks.  Raises ValueError, as SearchSpec does, unless
-    1 <= n <= MAX_SEARCH_ORDER.
+    Asks _first_rows for length m = n, n-1, ... and stops at the first sequence
+    of that length: the walk's tasks run in order until one holds such a
+    sequence.  When a length-n sequence exists that is one walk; otherwise each
+    shorter m walks the tree again, at most n - len(result) more walks.  Raises
+    TypeError unless rule is a RowsRule, since _first_rows tests rows alone and
+    would accept every sequence under any other predicate, and ValueError, as
+    SearchSpec does, unless 1 <= n <= MAX_SEARCH_ORDER.
     """
-    spec = SearchSpec(n=n, prefix_ok=prefix_ok)
-    rule = spec.prefix_ok
-    first = _first_rows if isinstance(rule, RowsRule) else _first_reaching
+    if not isinstance(rule, RowsRule):
+        raise TypeError(f"longest_prefix needs a RowsRule, got {type(rule).__name__}")
+    SearchSpec(n=n, prefix_ok=rule)  # checks n
     for reach in range(n, 0, -1):
         tasks = _frontier(rule, n, min(_depth(n), reach))
-        hits = _spread(rule, n, tasks, functools.partial(first, rule, n, reach), _FIRST_HIT_SPREAD_ORDER)
+        hits = _spread(n, tasks, functools.partial(_first_rows, rule, n, reach), _FIRST_HIT_SPREAD_ORDER)
         try:
             found = next(filter(None, hits), ())
         finally:
@@ -497,7 +487,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     halved = isinstance(rule, RowsRule)
     tasks = _frontier(rule, n, _depth(n), (1 << (n + 1) // 2 + 1) - 2 if halved else None)
     if mode == "count" and halved:
-        return sum(_spread(rule, n, tasks, functools.partial(_count_rows, rule, n), _SPREAD_ORDER))
+        return sum(_spread(n, tasks, functools.partial(_count_rows, rule, n), _SPREAD_ORDER))
     better = operator.gt if spec.direction == "max" else operator.lt
     flip = (n + 1).__sub__
     count = 0

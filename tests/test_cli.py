@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import itertools
 import json
 
@@ -414,6 +415,29 @@ def test_csv_not_supported_everywhere(capsys):
     code, _, err = run(capsys, "derive", "1,2,3", "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv,module,work",
+    [
+        (["gamma", "--n", "40"], "costas", "gamma"),
+        (["enumerate", "--property", "costas", "--n", "5"], "search", "matches"),
+        (["verify", "examples"], "verify", "run_examples"),
+    ],
+    ids=["gamma", "enumerate", "verify-examples"],
+)
+def test_csv_is_rejected_before_the_work(capsys, monkeypatch, argv, module, work):
+    # each request's work is stubbed to fail if reached; unstubbed, gamma --n 40 runs with no end
+    monkeypatch.setattr(importlib.import_module(f"permderiv.{module}"), work,
+                        lambda *args, **kwargs: pytest.fail(f"{module}.{work} ran"))
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, out, err) == (2, "", f"error: --format csv is not supported for {argv[0]!r}\n")
+
+
+def test_verify_figure1_csv_is_its_count_table(capsys):
+    code, out, _ = run(capsys, "verify", "figure1", "--max-n", "3", "--format", "csv")
+    assert code == 0
+    assert out == "n,total,count,fraction\n1,1,1,100.0\n2,2,2,100.0\n3,6,4,66.7\n"
 
 
 def test_gamma(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from permderiv import search, triangle
+from permderiv import triangle
 from permderiv import (
     BuilderState,
     JedwabWitness,
@@ -372,12 +372,11 @@ def test_gamma_matches_reference_search(n):
     (15, (1, 2, 6, 14, 9, 3, 15, 13, 5, 10, 12, 11, 8, 4, 7)),
 ])
 def test_gamma_witness_is_the_first_costas_permutation_past_the_reference_range(n, witness):
-    # the first Costas permutation in ascending order, from the RowsRule walk, the
-    # plain-callable walk and the reference search: 1-2 s at order 14 and 16-20 s at
-    # order 15, most of it the plain-callable walk, the reference search about 4 s
+    # the first Costas permutation in ascending order, from the RowsRule walk and the
+    # reference search: about 1 s at order 14 and 3 s at order 15, most of it the
+    # reference search
     assert naive_is_costas(witness)
     assert gamma(n) == reference_gamma(n) == (n, witness)
-    assert search.longest_prefix(lambda prefix: search.costas_prefix_ok(prefix), n) == witness
 
 
 def reference_jedwab_witness(p):

@@ -2,9 +2,10 @@
 
 A walk's recursion calls are the same on any machine, so they show an
 algorithmic gain or loss with no timing: `sys.setprofile` counts the calls
-of search.py's inner functions `count`, `count_row1` (both in _count_rows)
-and `first` (in _first_rows), with `_cpus` stubbed so every task runs in
-process.  A change to a walk that moves a pin states old -> new.
+of search.py's inner functions `count`, `count_row1` (both in _count_rows),
+`first` (in _first_rows) and `visit` (in _walk), with `_cpus` stubbed so
+every task runs in process.  A change to a walk that moves a pin states
+old -> new.
 """
 import sys
 
@@ -30,13 +31,13 @@ def _calls(name: str, work) -> int:
     return calls
 
 
-def _count(rule, n: int):
-    return lambda: search.enumerate(search.SearchSpec(n=n, prefix_ok=rule))
+def _count(rule, n: int, **spec):
+    return lambda: search.enumerate(search.SearchSpec(n=n, prefix_ok=rule, **spec))
 
 
 @pytest.fixture
 def in_process(monkeypatch):
-    monkeypatch.setattr(search, "_cpus", lambda rule, n, spread_order: [])
+    monkeypatch.setattr(search, "_cpus", lambda n, spread_order: [])
 
 
 @pytest.mark.parametrize(
@@ -49,6 +50,11 @@ def in_process(monkeypatch):
         pytest.param(_count(search.one_costas_prefix_ok, 10), "count_row1", 243_556, id="one-costas-10"),
         pytest.param(_count(search.costas_prefix_ok, 10), "count", 124_173, id="costas-10"),
         pytest.param(_count(search.RowsRule(2), 10), "count", 153_046, id="k-costas-2-10"),
+        pytest.param(_count(search.costas_prefix_ok, 9, mode="collect"), "visit", 36_034, id="costas-collect-9"),
+        pytest.param(_count(search.one_costas_prefix_ok, 9, mode="optimize", objective=sum), "visit", 89_209,
+                     id="one-costas-optimize-9"),
+        pytest.param(_count(lambda prefix: search.one_costas_prefix_ok(prefix), 8), "visit", 25_285,
+                     id="one-costas-wrapped-8"),
     ],
 )
 def test_recursion_calls_are_pinned(in_process, work, name, pin):

@@ -241,23 +241,31 @@ def test_rows_rules_walk_as_their_wrapped_calls(n):
             first_best = next(p for p in whole if weighted(p.entries) == best)
             spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted, direction=direction)
             assert search.enumerate(spec) == (best, first_best)
-        assert search.longest_prefix(rule, n) == search.longest_prefix(wrapped, n)
+        assert search.longest_prefix(rule, n) == naive_longest_prefix(n, rule)
+
+
+def filter_first(prefix_ok, n, reach, prefix):
+    """The n!-filter's _first_rows: the first tail, in ascending order, of reach - len(prefix)
+    values from 1..n outside prefix such that prefix_ok accepts every nonempty prefix of
+    prefix + tail, that sequence, or () when there is none.  The longest prefix is
+    asked first, as it is the one most often refused."""
+    rest = sorted(set(range(1, n + 1)).difference(prefix))
+    for tail in itertools.permutations(rest, reach - len(prefix)):
+        t = prefix + tail
+        if all(prefix_ok(list(t[:i])) for i in range(reach, 0, -1)):
+            return t
+    return ()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rows_rule_first_hits_equal_the_wrapped_walks(n):
     # from every task of depth 1..3, the RowsRule recursion finds the first sequence of
-    # each reach that the walk of the rule wrapped in a lambda finds; that walk keeps
-    # no rows, so its state after a prefix is only the values left free
-    values = (1 << n + 1) - 2
+    # each reach that filtering the task's tails finds, the rule called whole on each prefix
     for rule in (costas_prefix_ok, *map(k_costas_prefix_ok, range(-1, n))):
-        wrapped = lambda prefix, rule=rule: rule(prefix)
         for depth in range(1, min(n, 3) + 1):
             for prefix, state in search._frontier(rule, n, depth):
-                free = values - sum(1 << v for v in prefix)
                 for reach in range(depth, n + 1):
-                    expected = search._first_reaching(wrapped, n, reach, prefix, (0, 0, free, free))
-                    assert search._first_rows(rule, n, reach, prefix, state) == expected
+                    assert search._first_rows(rule, n, reach, prefix, state) == filter_first(rule, n, reach, prefix)
 
 
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
@@ -474,14 +482,14 @@ def test_spread_yields_every_task_in_order(forks, size, spread):
     tasks = list(itertools.islice(search._frontier(costas_prefix_ok, 9, 3), size))
     assert len(tasks) == size
     work = lambda prefix, state: (prefix, state)
-    assert list(search._spread(costas_prefix_ok, 9, tasks, work, 9 if spread else 10)) == [work(*t) for t in tasks]
+    assert list(search._spread(9, tasks, work, 9 if spread else 10)) == [work(*t) for t in tasks]
     assert len(forks) == (2 if spread else 0)
     assert_no_child_left()
 
 
 def test_spread_search_stopped_early_leaves_no_child(forks):
     tasks = search._frontier(costas_prefix_ok, 9, 3)
-    hits = search._spread(costas_prefix_ok, 9, tasks, lambda prefix, state: prefix, 9)
+    hits = search._spread(9, tasks, lambda prefix, state: prefix, 9)
     assert next(hits) == (1, 2, 4)
     assert next(hits) == (1, 2, 5)
     hits.close()
@@ -597,21 +605,37 @@ def test_longest_prefix_rejects_orders_outside_the_walker_cap(n):
 
 
 def test_longest_prefix_at_the_walker_cap_is_a_permutation():
-    assert search.longest_prefix(lambda prefix: True, 64) == tuple(range(1, 65))
+    assert search.longest_prefix(k_costas_prefix_ok(0), 64) == tuple(range(1, 65))
+
+
+@pytest.mark.parametrize("rule", [convex_prefix_ok, lambda prefix: costas_prefix_ok(prefix), lambda prefix: False],
+                         ids=["convex", "wrapped-costas", "none"])
+def test_longest_prefix_takes_only_a_rows_rule(rule):
+    # _first_rows tests rows alone: under any other predicate it would accept every sequence
+    with pytest.raises(TypeError, match="longest_prefix needs a RowsRule, got function"):
+        search.longest_prefix(rule, 5)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_longest_prefix_walks_again_for_a_shorter_length(monkeypatch, n):
+    # every RowsRule below order 32 has a sequence of length n, so the recursion is
+    # made to find none at reach n: the walk for length n-1 gives the filter's first
+    first_rows = search._first_rows
+    monkeypatch.setattr(search, "_first_rows", lambda rule, n, reach, prefix, state:
+                        () if reach == n else first_rows(rule, n, reach, prefix, state))
+    for rule in (one_costas_prefix_ok, costas_prefix_ok):
+        assert search.longest_prefix(rule, n) == filter_first(rule, n, n - 1, ())
 
 
 def naive_longest_prefix(n, prefix_ok):
     """The first, in ascending order, of the longest sequences of distinct values from 1..n
     whose every nonempty prefix prefix_ok accepts, by filtering all sequences of each length."""
-    for length in range(n, 0, -1):
-        for t in itertools.permutations(range(1, n + 1), length):
-            if all(prefix_ok(list(t[:i])) for i in range(1, length + 1)):
-                return t
-    return ()
+    return next(filter(None, (filter_first(prefix_ok, n, length, ()) for length in range(n, 0, -1))), ())
 
 
 # Hereditary plain predicates whose longest accepted sequence is, from some
-# order on, shorter than n, so longest_prefix walks again for shorter lengths.
+# order on, shorter than n, so longest_prefix walks again for shorter lengths
+# when its recursion finds what the filter finds under one of them.
 SHORT_PREFIXES = {
     "at-most-3": lambda prefix: len(prefix) <= 3,
     "increasing-sum-at-most-7": lambda prefix: all(a < b for a, b in zip(prefix, prefix[1:])) and sum(prefix) <= 7,
@@ -625,9 +649,13 @@ SHORT_PREFIXES = {
 
 @pytest.mark.parametrize("name", SHORT_PREFIXES)
 @pytest.mark.parametrize("n", range(1, 7))
-def test_longest_prefix_shorter_than_n_matches_filter(n, name):
+def test_longest_prefix_shorter_than_n_matches_filter(monkeypatch, n, name):
+    # longest_prefix's own loop, lengths n down to 1 over the tasks in order, with
+    # _first_rows answered by the filter; k = 0 tests no row, so every sequence is a task
     prefix_ok = SHORT_PREFIXES[name]
-    assert search.longest_prefix(prefix_ok, n) == naive_longest_prefix(n, prefix_ok)
+    monkeypatch.setattr(search, "_first_rows", lambda rule, n, reach, prefix, state:
+                        filter_first(prefix_ok, n, reach, prefix))
+    assert search.longest_prefix(k_costas_prefix_ok(0), n) == naive_longest_prefix(n, prefix_ok)
 
 
 def test_table_bounds():
@@ -692,16 +720,20 @@ def test_plain_callable_sees_the_naive_walks_prefixes(mode):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_longest_prefix_stops_at_the_first_permutation(n):
-    # reach n: the walk hands a plain callable the naive walk's prefixes up to
-    # and including the first accepted length-n one, then stops
-    calls = []
+def test_longest_prefix_stops_at_the_first_permutation(monkeypatch, n):
+    # reach n only: the recursion walks the tasks in order up to and including the
+    # one holding the first accepted permutation, then stops
+    walked, first_rows = [], search._first_rows
 
-    def recorded(prefix):
-        calls.append(tuple(prefix))
-        return naive_is_one_costas(prefix)
+    def recorded(rule, n, reach, prefix, state):
+        walked.append((reach, prefix))
+        return first_rows(rule, n, reach, prefix, state)
 
-    naive = naive_walk_calls(n, naive_is_one_costas)
-    stop = next(i for i, t in enumerate(naive) if len(t) == n and naive_is_one_costas(t))
-    assert search.longest_prefix(recorded, n) == naive[stop]
-    assert calls == naive[: stop + 1]
+    monkeypatch.setattr(search, "_first_rows", recorded)
+    depth = search._depth(n)
+    for rule, full in ((one_costas_prefix_ok, naive_is_one_costas), (costas_prefix_ok, naive_is_costas)):
+        walked.clear()
+        first = next(t for t in itertools.permutations(range(1, n + 1)) if full(t))
+        assert search.longest_prefix(rule, n) == first
+        tasks = [prefix for prefix, _ in search._frontier(rule, n, depth)]
+        assert walked == [(n, prefix) for prefix in tasks[: tasks.index(first[:depth]) + 1]]
