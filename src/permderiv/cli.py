@@ -12,7 +12,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple
 
 from . import dpair, variation
@@ -73,44 +72,16 @@ class CommandOutput:
     rows: tuple | None = None  # a count table of search.CountRow, the only output with CSV
 
 
-def _lipschitz(param: str):
-    from .search import int_parameter
-
-    return partial(variation.is_lipschitz, bound=int_parameter("lipschitz", param))
-
-
-def _dpair(param: str):
-    from .search import int_parameter
-
-    values = param.split(",")
-    if len(values) != 2:
-        raise ValueError(f"dpair property needs two values, got {_shown(param)!r}")
-    return partial(dpair.is_dpair_realization, pair=dpair.DPair(*(int_parameter("dpair", v) for v in values)))
-
-
-# Each check-only property by printed form: bare, the package's public name of its predicate, resolved
-# when a check runs it (costas loads search); NAME=X, a builder of the predicate from X.
-_CHECK_ONLY = {
-    "mid-alternating": "is_mid_alternating",
-    "centrosymmetric": "is_centrosymmetric",
-    "costas-centrosymmetric": "is_costas_centrosymmetric",
-    "lipschitz=L": _lipschitz,
-    "dpair=P,Q": _dpair,
-}
-
-
 def _check_property(text: str):
     """Map a --property value to a predicate on Permutation: searchable or check-only."""
-    from .search import searchable
+    from .search import PROPERTIES, Searchable, read_property
 
-    prop = searchable(text)
-    if prop is not None:
-        return prop.holds
-    name, sep, param = text.partition("=")
-    for form, entry in _CHECK_ONLY.items():
-        if form.partition("=")[:2] == (name, sep):
-            return entry(param) if sep else getattr(sys.modules[__package__], entry)
-    raise ValueError(f"unknown property {_shown(text)!r}")
+    entry = read_property(text, PROPERTIES)
+    if entry is None:
+        raise ValueError(f"unknown property {_shown(text)!r}")
+    if isinstance(entry, Searchable):
+        return entry.holds
+    return getattr(sys.modules[__package__], entry) if isinstance(entry, str) else entry
 
 
 def _table_output(rows, **fields) -> CommandOutput:
@@ -285,9 +256,9 @@ def _cmd_verify(args) -> CommandOutput:
 
 
 def _check_arguments(p: _Parser) -> None:
-    from .search import PROPERTY_FORMS
+    from .search import PROPERTIES
 
-    p.add_argument("--property", required=True, help=" | ".join((*PROPERTY_FORMS, *_CHECK_ONLY)))
+    p.add_argument("--property", required=True, help=" | ".join(PROPERTIES))
     p.add_argument("permutation")
 
 

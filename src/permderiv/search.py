@@ -60,9 +60,9 @@ otherwise W is 1, which is the walk in process.  Collect and optimize always
 run in process: sending their lists of matches back would cost more than a
 second CPU saves, and an objective, like a plain predicate, may be impure.
 
-SEARCHABLE is the one registry of searchable properties, each with its rule
-and order cap; `matches` counts or lists any of them, and the CLI's check
-judges them with the same rules, so the two cannot disagree.
+PROPERTIES is the one registry of properties and read_property the one reader
+of their NAME=X text; `matches` counts or lists any searchable one, and the
+CLI's check judges it with the same rule, so the two cannot disagree.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import convexity, triangle
 from .convexity import convex_prefix_ok
@@ -533,17 +533,44 @@ class Searchable(NamedTuple):
         return self.rule(p.entries)
 
 
-# Each searchable property by name; k-costas=K maps K to its property.  K = 0
-# matches all n! permutations, so it counts to 10 and lists to 8 (40,320);
-# convex has at most eight permutations per order, so it lists to its cap.
-SEARCHABLE = {
+def _k_costas(param: str) -> Searchable:
+    """k-costas=K's property.  K = 0 matches all n! permutations, so it counts to 10 and lists to 8 (40,320)."""
+    k = int_parameter("k-costas", param)
+    return Searchable(RowsRule(k), 10, k, 8) if k == 0 else Searchable(RowsRule(k), 12, k)
+
+
+def _lipschitz(param: str):
+    from .variation import is_lipschitz
+
+    return functools.partial(is_lipschitz, bound=int_parameter("lipschitz", param))
+
+
+def _dpair(param: str):
+    from . import dpair
+
+    values = param.split(",")
+    if len(values) != 2:
+        raise ValueError(f"dpair property needs two values, got {_shown(param)!r}")
+    return functools.partial(dpair.is_dpair_realization, pair=dpair.DPair(*(int_parameter("dpair", v) for v in values)))
+
+
+# Each property by printed form, in check --help order.  A searchable one is a Searchable or a builder annotated
+# to return one; convex has at most eight permutations per order, so it lists to its cap.  A check-only one is the
+# package's public name of its predicate, resolved when a check runs it (costas imports search), or its builder.
+PROPERTIES = {
     "one-costas": Searchable(one_costas_prefix_ok, 12),
     "costas": Searchable(costas_prefix_ok, 9),
-    "k-costas": lambda k: Searchable(RowsRule(k), 10, k, 8) if k == 0 else Searchable(RowsRule(k), 12, k),
+    "k-costas=K": _k_costas,
     "convex": Searchable(convex_prefix_ok, 64, list_cap=64),
+    "mid-alternating": "is_mid_alternating",
+    "centrosymmetric": "is_centrosymmetric",
+    "costas-centrosymmetric": "is_costas_centrosymmetric",
+    "lipschitz=L": _lipschitz,
+    "dpair=P,Q": _dpair,
 }
-TABLE_KINDS = tuple(name for name, entry in SEARCHABLE.items() if isinstance(entry, Searchable))
-PROPERTY_FORMS = tuple(name if name in TABLE_KINDS else f"{name}=K" for name in SEARCHABLE)
+TABLE_KINDS = tuple(form for form, entry in PROPERTIES.items() if isinstance(entry, Searchable))
+PROPERTY_FORMS = tuple(form for form, entry in PROPERTIES.items()
+                       if form in TABLE_KINDS or getattr(entry, "__annotations__", {}).get("return") == "Searchable")
 
 
 def int_parameter(name: str, param: str) -> int:
@@ -551,17 +578,18 @@ def int_parameter(name: str, param: str) -> int:
     return _parse_int(param, f"{name} property ", f"{name} property needs an integer, got")
 
 
-def searchable(text: str) -> Searchable | None:
-    """The searchable property text names, or None; ValueError for a K that is no integer."""
+def read_property(text: str, forms: Iterable[str]) -> Any:
+    """The PROPERTIES entry text names among forms, or None; a NAME=X form's builder is applied to X."""
     name, sep, param = text.partition("=")
-    entry = SEARCHABLE.get(name)
-    if isinstance(entry, Searchable):
-        return None if sep else entry
-    return entry(int_parameter(name, param)) if entry and sep else None
+    for form in forms:
+        if form.partition("=")[:2] == (name, sep):
+            entry = PROPERTIES[form]
+            return entry(param) if sep else entry
+    return None
 
 
 def _checked(text: str, n: int, collect: bool = False) -> Searchable:
-    prop = searchable(text)
+    prop = read_property(text, PROPERTY_FORMS)
     if prop is None:
         raise ValueError(f"property {_shown(text)!r} is not searchable (use {', '.join(PROPERTY_FORMS[:-1])} or {PROPERTY_FORMS[-1]})")
     cap = min(prop.cap, prop.list_cap) if collect else prop.cap

@@ -690,7 +690,12 @@ def test_check_accepts_every_listed_form(capsys, monkeypatch):
 def test_check_only_forms_are_not_searchable(capsys, monkeypatch):
     check_only = [form for form in _check_help_forms(capsys, monkeypatch) if form not in search.PROPERTY_FORMS]
     assert check_only
-    assert not {form.partition("=")[0] for form in check_only} & set(search.SEARCHABLE)
+    # search.read_property matches a text's (name, "=") pair: no two forms may share one, and
+    # no check-only name may be a searchable one, or count would read a check-only text
+    keys = [form.partition("=")[:2] for form in search.PROPERTIES]
+    assert len(set(keys)) == len(keys)
+    names = {form.partition("=")[0] for form in search.PROPERTY_FORMS}
+    assert not {form.partition("=")[0] for form in check_only} & names
     for form in check_only:
         text = _instance(form)
         assert run(capsys, "count", "--property", text, "--n", "5") == (

@@ -17,7 +17,7 @@ from permderiv import (
     reverse,
 )
 from permderiv.convexity import MAX_CONVEX_ORDER
-from permderiv.search import SEARCHABLE
+from permderiv.search import PROPERTIES
 
 
 def all_perms(n):
@@ -213,7 +213,7 @@ def test_convex_derivative_shape():
 
 
 def test_enumerate_convex_order_cap():
-    assert MAX_CONVEX_ORDER >= SEARCHABLE["convex"].cap
+    assert MAX_CONVEX_ORDER >= PROPERTIES["convex"].cap
     assert enumerate_convex(MAX_CONVEX_ORDER) == classify_convex(MAX_CONVEX_ORDER)
     with pytest.raises(ValueError) as info:
         enumerate_convex(MAX_CONVEX_ORDER + 1)

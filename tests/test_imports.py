@@ -43,6 +43,12 @@ def test_import_perm_core_loads_perm_core_alone():
     assert loaded("import permderiv.perm_core") == {"permderiv", "permderiv.perm_core"}
 
 
+def test_import_search_loads_what_its_walkers_and_properties_need():
+    # its check-only builders import variation or dpair in their bodies; costas imports search
+    assert loaded("import permderiv.search") == {
+        f"permderiv{name}" for name in ("", ".perm_core", ".triangle", ".variation", ".convexity", ".search")}
+
+
 @pytest.mark.parametrize("argv", [["derive", "5,2,7,4,1,6,3"], ["integrate", "-3,5,-3,-3,5,-3"]], ids=["derive", "integrate"])
 def test_a_derive_or_integrate_request_leaves_the_search_side_unloaded(argv):
     modules = loaded(f"from permderiv import cli\nassert cli.run({argv!r}) == 0")

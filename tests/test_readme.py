@@ -2,7 +2,8 @@
 
 Each `$ permderiv ...` line of the "Command line" block must print the
 lines that follow it, where a `...` line stands for any run of lines.  The
-worked-example count and the caps table must equal what the program has.
+worked-example count, the caps table and the two property lists must equal
+what the program has.
 """
 import re
 import shlex
@@ -78,3 +79,17 @@ def test_caps_table_is_the_enforced_order_limits():
             k_above_0, k_0 = map(int, re.fullmatch(r"(\d+) \((\d+) at K = 0\)", cell).groups())
             assert _cap("k-costas=0", collect) == k_0
             assert {_cap(f"k-costas={k}", collect) for k in range(1, k_above_0)} == {k_above_0}
+
+
+def _listed(start: str, end: str) -> list[str]:
+    """The backquoted names from start up to the first end after it."""
+    text = README.read_text().split(start, 1)[1].split(end, 1)[0]
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_check_properties_are_the_registry_in_order():
+    assert _listed("Check properties:", ".\n") == list(search.PROPERTIES)
+
+
+def test_searchable_properties_are_the_property_forms():
+    assert _listed("Searchable properties (`count`, `enumerate`, `table`):", ";") == list(search.PROPERTY_FORMS)
