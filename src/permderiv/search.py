@@ -14,18 +14,19 @@ The shipped predicates are module-level and picklable; called on a prefix
 they judge it whole.  Each walk is a bit recursion over one state layout, a
 bitmask of used differences per difference-triangle row: _walk for collect,
 optimize and plain predicates, _count_rows and _first_rows under a RowsRule,
-and _extend for tasks.  None calls a RowsRule; each tests its rows inline, so
-extending a prefix costs a few bit operations rather than a rescan; any other
-predicate has no rows to test and _walk calls it on the full prefix at each
-extension.  convex_prefix_ok is one: convexity's own
+and _frontier's extend for tasks.  None calls a RowsRule; each tests its rows
+inline, so extending a prefix costs a few bit operations rather than a
+rescan; any other predicate has no rows to test and _walk calls it on the
+full prefix at each extension.  convex_prefix_ok is one: convexity's own
 non-decreasing-differences rule, the one is_convex applies.
 
-Every search walks its tree as tasks: _frontier yields, in lexicographic
-order, the accepted sequences of about n/3 values (one value below order 9)
-with the walker's state after each, and walking each task's subtree in turn
-is the whole walk.  A plain predicate's walk is one task, the root, since it
-never spreads and is never halved.  RowsRule searches take only the tasks
-whose first value f is at most n//2, or the middle n//2+1 when n is odd.
+A count under a RowsRule and a longest-prefix walk walk their tree as tasks:
+_frontier yields, in lexicographic order, the accepted sequences of about n/3
+values (one value below order 9) with the walker's state after each, and
+walking each task's subtree in turn is the whole walk.  Every other search (a
+collect, an optimize, a plain predicate's count) never forks and never stops
+early, so it is one _walk from the root.  RowsRule searches walk only the
+first values f at most n//2, or the middle n//2+1 when n is odd.
 Complement (v -> n+1-v) negates every difference, so it keeps each triangle
 row repeat-free or not and maps the accepted permutations starting with f
 onto those starting with n+1-f, reversing their lexicographic order.  A count
@@ -56,9 +57,9 @@ order, so every result and witness is the serial walk's, and no child
 outlives the call.  W is the number of CPUs the process may use, from the
 first task of a count at order 9 or more and of a longest-prefix walk at order
 14 or more, when there are two or more, os can fork and no other thread runs;
-otherwise W is 1, which is the walk in process.  Collect and optimize always
-run in process: sending their lists of matches back would cost more than a
-second CPU saves, and an objective, like a plain predicate, may be impure.
+otherwise W is 1, which is the walk in process.  Collect and optimize run in
+process, with no tasks: sending their lists of matches back would cost more
+than a second CPU saves, and an objective, like a plain predicate, may be impure.
 
 PROPERTIES is the one registry of properties and read_property the one reader
 of their NAME=X text; `matches` counts or lists any searchable one, and the
@@ -170,17 +171,16 @@ def _root(n: int, first: int | None = None) -> tuple[int, int, int, int]:
 
 
 def _walk(prefix_ok: Callable[[Sequence[int]], bool], n: int, leaf: Callable[[list], Any],
-          state: tuple[int, int, int, int], prefix: Sequence[int] = ()) -> None:
-    """Visit, depth-first in ascending order, the sequences of distinct values from 1..n
-    that extend prefix, whose every nonempty prefix prefix_ok accepts, from the walker's
-    state after prefix (see _root and _frontier).
+          state: tuple[int, int, int, int]) -> None:
+    """Visit, depth-first in ascending order, the permutations of 1..n whose every
+    nonempty prefix prefix_ok accepts, from the walker's state (see _root).
 
     leaf(prefix) is called on each visited permutation, with the walker's own
     list.  One recursion serves every predicate: a RowsRule is tested inline
     (see its docstring) and never called; any other one has no rows to test
     (keep is 0) and is called on the walker's list, candidate appended.
     """
-    prefix = list(prefix)
+    prefix: list[int] = []
     append, pop = prefix.append, prefix.pop
     width, keep = _row_layout(prefix_ok, n)
     call = None if isinstance(prefix_ok, RowsRule) else prefix_ok
@@ -284,37 +284,35 @@ def _depth(n: int) -> int:
     return max(1, n // 3) if n >= _SPREAD_ORDER else 1
 
 
-def _frontier(rule: Callable[[Sequence[int]], bool], n: int, depth: int, first: int | None = None):
+def _frontier(rule: RowsRule, n: int, depth: int, first: int | None = None):
     """Yield (prefix, state) for each sequence of depth values whose every prefix rule
     accepts and whose first value is in first (as _root), one at a time in ascending
     order: the sequence as a tuple and the walker's state after it.
 
     The tasks of a walk: walking each one's subtree in turn is the walk, as
     the walker visits the sequences shorter than depth before their subtrees.
-    Sequences that end before depth are in no task.  A RowsRule is tested
-    inline, as _walk tests it; any other rule gets one task, the root, so
-    _walk is the only caller of a plain predicate.
+    Sequences that end before depth are in no task.  rule is tested inline,
+    as _walk tests it.
     """
-    return _extend(n, depth if isinstance(rule, RowsRule) else 0, *_row_layout(rule, n), (), _root(n, first))
+    width, keep = _row_layout(rule, n)
 
+    def extend(prefix: tuple[int, ...], state):
+        if len(prefix) == depth:
+            yield prefix, state
+            return
+        used, tails, free, choices = state
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            v = low.bit_length() - 1
+            new = tails << v
+            if used & new:
+                continue
+            rest = free ^ low
+            new |= used
+            yield from extend(prefix + (v,), (new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)))
 
-def _extend(n: int, depth: int, width: int, keep: int, prefix: tuple[int, ...], state):
-    # the walker's step, a generator: _frontier's recursion
-    if len(prefix) == depth:
-        yield prefix, state
-        return
-    used, tails, free, choices = state
-    while choices:
-        low = choices & -choices
-        choices ^= low
-        v = low.bit_length() - 1
-        new = tails << v
-        if used & new:
-            continue
-        rest = free ^ low
-        new |= used
-        yield from _extend(n, depth, width, keep, prefix + (v,),
-                           (new, (tails << width | 1 << n - v) & keep, rest, rest & ~(new >> n - v)))
+    return extend((), _root(n, first))
 
 
 # A walk under a RowsRule spreads over forked children from its first task at
@@ -485,8 +483,9 @@ def enumerate(spec: SearchSpec, workers: int = 1):
     n, rule, mode = spec.n, spec.prefix_ok, spec.mode
     # complement symmetry, see the module docstring: first values 1..n//2 and the odd middle
     halved = isinstance(rule, RowsRule)
-    tasks = _frontier(rule, n, _depth(n), (1 << (n + 1) // 2 + 1) - 2 if halved else None)
+    first = (1 << (n + 1) // 2 + 1) - 2 if halved else None
     if mode == "count" and halved:
+        tasks = _frontier(rule, n, _depth(n), first)
         return sum(_spread(n, tasks, functools.partial(_count_rows, rule, n), _SPREAD_ORDER))
     better = operator.gt if spec.direction == "max" else operator.lt
     flip = (n + 1).__sub__
@@ -507,8 +506,7 @@ def enumerate(spec: SearchSpec, workers: int = 1):
                 if best is None or better(value, best[0]) or value == best[0] and t < best[1]:
                     best = value, t
 
-    for prefix, state in tasks:
-        _walk(rule, n, leaf, state, prefix)
+    _walk(rule, n, leaf, _root(n, first))
     if mode == "count":
         return count
     if mode == "collect":
@@ -554,8 +552,8 @@ def _dpair(param: str):
     return functools.partial(dpair.is_dpair_realization, pair=dpair.DPair(*(int_parameter("dpair", v) for v in values)))
 
 
-# Each property by printed form, in check --help order.  A searchable one is a Searchable or a builder annotated
-# to return one; convex has at most eight permutations per order, so it lists to its cap.  A check-only one is the
+# Each property by printed form, in check --help order.  A searchable one is a Searchable or _k_costas, the builder
+# of one; convex has at most eight permutations per order, so it lists to its cap.  A check-only one is the
 # package's public name of its predicate, resolved when a check runs it (costas imports search), or its builder.
 PROPERTIES = {
     "one-costas": Searchable(one_costas_prefix_ok, 12),
@@ -569,8 +567,7 @@ PROPERTIES = {
     "dpair=P,Q": _dpair,
 }
 TABLE_KINDS = tuple(form for form, entry in PROPERTIES.items() if isinstance(entry, Searchable))
-PROPERTY_FORMS = tuple(form for form, entry in PROPERTIES.items()
-                       if form in TABLE_KINDS or getattr(entry, "__annotations__", {}).get("return") == "Searchable")
+PROPERTY_FORMS = tuple(form for form, entry in PROPERTIES.items() if form in TABLE_KINDS or entry is _k_costas)
 
 
 def int_parameter(name: str, param: str) -> int:

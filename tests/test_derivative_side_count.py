@@ -1,45 +1,57 @@
-"""One-Costas counts from the derivative side, sharing no code with the search walker.
+"""k-Costas counts from the derivative side, sharing no code with the search walker.
 
 A permutation of order n is fixed by its derivative, the n-1 differences of
 consecutive entries: their running sums from 0 must be n distinct integers
 spanning a window of width n-1, and shifting them to start at 1 gives the
-entries.  A one-Costas permutation is one whose differences are distinct.
-So walking distinct nonzero differences whose running sums stay distinct and
-inside such a window counts the one-Costas permutations, one walk each.
+entries.  Row j of its difference triangle holds, at position i, the running
+sum at i+j minus the one at i.  A k-Costas permutation is one whose rows 1..k
+each hold distinct entries: one-Costas is k = 1 (distinct differences), and
+Costas k = n-1.  So walking the running sums that stay distinct, inside such
+a window, and keep each of those rows repeat-free counts the k-Costas
+permutations, one walk each.
 """
 import pytest
 
-from permderiv import count_one_costas
+from permderiv import count_one_costas, search
 
 
-def derivative_side_count(n, halved=False):
-    """The number of sequences of n-1 distinct nonzero differences whose running
-    sums from 0 are distinct and span at most n-1.
+def derivative_side_count(n, k=1, halved=False):
+    """The number of sequences of n distinct running sums from 0, spanning at most
+    n-1, whose rows 1..k (row j's entry at i is the sum at i+j minus the one at i)
+    each hold distinct entries.
 
     With halved, only the sequences with a positive first difference are walked,
-    and their number doubled.  Negating every difference keeps the differences
-    distinct and the sums distinct within the same span, so it pairs each
-    sequence with one whose first difference has the other sign.
+    and their number doubled.  Negating every difference negates every row's
+    entries, so it keeps each row distinct and the sums distinct within the same
+    span, and pairs each sequence with one whose first difference has the other sign.
     """
-    differences, sums = set(), {0}
+    sums, rows = [0], [set() for _ in range(k)]
 
-    def walk(depth, last, lowest, highest):
+    def walk(lowest, highest):
+        depth = len(sums) - 1
         if depth == n - 1:
             return 1
         total = 0
+        # row j with the sum j back, for j = 1..k: row j's entry ending at s is s minus that sum
+        pairs = list(zip(rows, sums[:-k - 1:-1]))
         # the sums that keep the window; a halved walk's first one is positive
         for s in range(1 if halved and not depth else highest - (n - 1), lowest + n):
-            d = s - last  # nonzero, since s differs from every earlier sum
-            if s in sums or d in differences:
+            if s in sums:
                 continue
-            differences.add(d)
-            sums.add(s)
-            total += walk(depth + 1, s, min(lowest, s), max(highest, s))
-            differences.remove(d)
-            sums.remove(s)
+            for row, back in pairs:
+                if s - back in row:
+                    break
+            else:
+                for row, back in pairs:
+                    row.add(s - back)
+                sums.append(s)
+                total += walk(min(lowest, s), max(highest, s))
+                sums.pop()
+                for row, back in pairs:
+                    row.remove(s - back)
         return total
 
-    return walk(0, 0, 0, 0) * (2 if halved and n > 1 else 1)  # order 1 has no difference to negate
+    return walk(0, 0) * (2 if halved and n > 1 else 1)  # order 1 has no difference to negate
 
 
 def test_derivative_side_count_matches_figure1_rows():
@@ -52,12 +64,26 @@ def test_count_one_costas_matches_derivative_side_count(n):
     assert count_one_costas(n).count == derivative_side_count(n)
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in range(1, n)])
+def test_k_costas_counts_match_derivative_side_count(n, k):
+    assert search.matches(f"k-costas={k}", n) == derivative_side_count(n, k, halved=True)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_halved_derivative_side_count_equals_the_whole_walk(n):
-    assert derivative_side_count(n, halved=True) == derivative_side_count(n)
+    for k in {1, max(1, n - 1)}:
+        assert derivative_side_count(n, k, halved=True) == derivative_side_count(n, k)
 
 
 @pytest.mark.slow
 def test_order_11_one_costas_count_from_both_sides():
     # past the oracles' reach: about 9 s halved (14 s whole), run with pytest -m slow
     assert derivative_side_count(11, halved=True) == count_one_costas(11).count == 1104876
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(1, 10))
+def test_order_10_k_costas_counts_from_both_sides(k):
+    # past the oracles' reach: 152,112, 12,756 and 3,368 for K = 1..3, then the Costas count
+    expected = {1: 152112, 2: 12756, 3: 3368}.get(k, 2160)
+    assert derivative_side_count(10, k, halved=True) == search.matches(f"k-costas={k}", 10) == expected

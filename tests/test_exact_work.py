@@ -50,8 +50,8 @@ def in_process(monkeypatch):
         pytest.param(_count(search.one_costas_prefix_ok, 10), "count_row1", 243_556, id="one-costas-10"),
         pytest.param(_count(search.costas_prefix_ok, 10), "count", 124_173, id="costas-10"),
         pytest.param(_count(search.RowsRule(2), 10), "count", 153_046, id="k-costas-2-10"),
-        pytest.param(_count(search.costas_prefix_ok, 9, mode="collect"), "visit", 36_034, id="costas-collect-9"),
-        pytest.param(_count(search.one_costas_prefix_ok, 9, mode="optimize", objective=sum), "visit", 89_209,
+        pytest.param(_count(search.costas_prefix_ok, 9, mode="collect"), "visit", 36_080, id="costas-collect-9"),
+        pytest.param(_count(search.one_costas_prefix_ok, 9, mode="optimize", objective=sum), "visit", 89_255,
                      id="one-costas-optimize-9"),
         pytest.param(_count(lambda prefix: search.one_costas_prefix_ok(prefix), 8), "visit", 25_285,
                      id="one-costas-wrapped-8"),

@@ -270,13 +270,12 @@ def test_rows_rule_first_hits_equal_the_wrapped_walks(n):
 
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
 def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, firsts):
-    # every search walks the tasks of one _frontier call: RowsRule counts,
-    # collects and optimizes those of first entries f <= n//2 and the odd
-    # middle, every other search those of the whole tree (first None)
+    # every search walks from one _root call: RowsRule counts, collects and
+    # optimizes from first entries f <= n//2 and the odd middle, every other
+    # search from the whole tree (first None)
     walked = []
-    frontier = search._frontier
-    monkeypatch.setattr(search, "_frontier",
-                        lambda rule, n, depth, first=None: walked.append(first) or frontier(rule, n, depth, first))
+    root = search._root
+    monkeypatch.setattr(search, "_root", lambda n, first=None: walked.append(first) or root(n, first))
 
     def first_values():
         # the first values the one recorded mask allows, None for the whole tree
@@ -299,13 +298,37 @@ def test_only_rows_rule_counts_walk_half_the_first_entries(monkeypatch, n, first
         assert first_values() == [None]
 
 
+@pytest.mark.parametrize("n", [1, 6, 8])
+def test_only_rows_rule_counts_and_longest_prefix_walk_tasks(monkeypatch, n):
+    # collect, optimize and a plain predicate's count walk once from the root, never
+    # through _frontier; a RowsRule count and longest_prefix still take its tasks
+    frontier = search._frontier
+
+    def refused(*args):
+        raise AssertionError("_frontier called")
+
+    monkeypatch.setattr(search, "_frontier", refused)
+    for rule, full in ((one_costas_prefix_ok, naive_is_one_costas), (naive_is_costas, naive_is_costas)):
+        expected = [t for t in itertools.permutations(range(1, n + 1)) if full(t)]
+        assert [p.entries for p in search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect"))] == expected
+        spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted)
+        assert search.enumerate(spec) == first_best(expected, weighted, "max")
+    assert search.enumerate(SearchSpec(n=n, prefix_ok=naive_is_one_costas)) == naive_count(n, naive_is_one_costas)
+    reached = []
+    monkeypatch.setattr(search, "_frontier", lambda *args: reached.append(args) or frontier(*args))
+    assert search.enumerate(SearchSpec(n=n, prefix_ok=one_costas_prefix_ok)) == naive_count(n, naive_is_one_costas)
+    assert reached
+    reached.clear()
+    assert search.longest_prefix(costas_prefix_ok, n) == naive_longest_prefix(n, costas_prefix_ok)
+    assert reached
+
+
 @pytest.mark.parametrize(
     "n,rule",
     [(9, one_costas_prefix_ok), (9, k_costas_prefix_ok(2)), (9, costas_prefix_ok), (10, costas_prefix_ok)],
     ids=["one-costas-9", "k-costas-2-9", "costas-9", "costas-10"],
 )
-def test_collect_and_optimize_over_tasks_equal_one_serial_walk(n, rule):
-    assert search._depth(n) == 3
+def test_halved_collect_and_optimize_equal_the_unhalved_walk(n, rule):
     serial = []
     search._walk(rule, n, lambda prefix: serial.append(tuple(prefix)), search._root(n))
     assert [p.entries for p in search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect"))] == serial
