@@ -344,8 +344,6 @@ def _render(args, out: CommandOutput, runtime: float) -> str:
 
 def run(argv=None) -> int:
     """Parse argv, dispatch, print the result; returns the exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

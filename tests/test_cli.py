@@ -1,7 +1,7 @@
 import argparse
 import importlib
-import itertools
 import json
+import sys
 
 import pytest
 
@@ -33,6 +33,18 @@ def test_derive_integrate_round_trip_bytes(capsys):
     code, integrated, _ = run(capsys, "integrate", derived.strip())
     assert code == 0
     assert integrated.strip() == original
+
+
+@pytest.mark.parametrize("argv", [["derive", "5,2,7,4,1,6,3"], ["check", "--property", "costas", "1,2,3"],
+                                  ["derive", "1,1"]], ids=["exit-0", "exit-1", "exit-2"])
+def test_run_and_main_read_sys_argv(capsys, monkeypatch, argv):
+    # with no argv, argparse reads sys.argv[1:]; main exits with run's code
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["permderiv", *argv])
+    assert (cli.run(), *capsys.readouterr()) == expected
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert (exited.value.code, *capsys.readouterr()) == expected
 
 
 def test_round_trip_order_one(capsys):
@@ -762,19 +774,6 @@ def test_order_caps(capsys, command, prop, cap):
     lowest = 2 if prop == "k-costas=1" else 1  # k-costas=K is defined from order K+1
     code, out, err = run(capsys, *_order_argv(command, prop, lowest))
     assert code == 0 and out and not err
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_check_agrees_with_enumerate(capsys, n):
-    parser = cli.build_parser()
-    for prop in ["one-costas", "costas", "convex"] + [f"k-costas={k}" for k in range(n)]:
-        code, out, _ = run(capsys, "enumerate", "--property", prop, "--n", str(n))
-        assert code == 0
-        listed = set(out.split())
-        for entries in itertools.permutations(range(1, n + 1)):
-            perm = ",".join(map(str, entries))
-            args = parser.parse_args(["check", "--property", prop, perm])
-            assert args.handler(args).code == (0 if perm in listed else 1), (prop, perm)
 
 
 @pytest.mark.parametrize("n", ["0", "65", "1000000000"])

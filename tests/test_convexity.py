@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from permderiv import (
@@ -18,15 +16,7 @@ from permderiv import (
 )
 from permderiv.convexity import MAX_CONVEX_ORDER
 from permderiv.search import PROPERTIES
-
-
-def all_perms(n):
-    return (Permutation(t) for t in itertools.permutations(range(1, n + 1)))
-
-
-def naive_is_convex(entries):
-    d = [entries[i + 1] - entries[i] for i in range(len(entries) - 1)]
-    return all(d[i] <= d[i + 1] for i in range(len(d) - 1))
+from naive import all_perms, naive_is_convex
 
 
 def fill_of(p, k):

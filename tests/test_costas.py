@@ -27,24 +27,7 @@ from permderiv import (
     rotate90,
     start_state,
 )
-
-
-def all_perms(n):
-    return (Permutation(t) for t in itertools.permutations(range(1, n + 1)))
-
-
-def naive_is_costas(entries):
-    n = len(entries)
-    for k in range(1, n):
-        diffs = [entries[i + k] - entries[i] for i in range(n - k)]
-        if len(set(diffs)) != len(diffs):
-            return False
-    return True
-
-
-def naive_is_one_costas(entries):
-    diffs = [entries[i + 1] - entries[i] for i in range(len(entries) - 1)]
-    return len(set(diffs)) == len(diffs)
+from naive import all_perms, filtered, reference_gamma, repeat_free_rows
 
 
 def test_k_costas_examples():
@@ -64,13 +47,10 @@ def test_costas_examples():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_k_costas_monotone_and_matches_naive(n):
+    # k-Costas holds exactly for k up to the naive count of repeat-free rows
     for p in all_perms(n):
-        flags = [is_k_costas(p, k) for k in range(n)]
-        for k in range(1, n):
-            if flags[k]:
-                assert flags[k - 1]
-        assert flags[n - 1] == naive_is_costas(p.entries)
-        assert flags[1] == naive_is_one_costas(p.entries) if n >= 2 else True
+        rows = repeat_free_rows(p.entries)
+        assert [is_k_costas(p, k) for k in range(n)] == [k <= rows for k in range(n)], p
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -147,8 +127,7 @@ def test_builder_reaches_exactly_the_distinct_derivative_permutations(n):
 
     for first in range(1, n + 1):
         grow(start_state(n, first))
-    expected = {p.entries for p in all_perms(n) if naive_is_one_costas(p.entries)}
-    assert reached == expected
+    assert reached == set(filtered(n, 1))
 
 
 def test_jedwab_witness_worked_example():
@@ -276,7 +255,7 @@ def test_costas_signed():
     # the triangle is taken over the signed values, not their absolute values:
     # |2,4,-1,-3| = (2,4,1,3) repeats a consecutive difference, yet the signed
     # sequence passes
-    assert not naive_is_one_costas((2, 4, 1, 3))
+    assert repeat_free_rows((2, 4, 1, 3)) == 0
 
 
 def test_costas_subpermutation():
@@ -309,7 +288,7 @@ def test_gamma_reaches_full_length_when_costas_exists(n):
     assert m == n
     assert len(witness) == m
     assert is_costas_subpermutation(witness, n)
-    assert naive_is_costas(witness)
+    assert repeat_free_rows(witness) == len(witness) - 1
 
 
 def test_gamma_small():
@@ -323,42 +302,6 @@ def test_gamma_small():
 def test_gamma_witness_is_deterministic():
     assert gamma(3) == gamma(3)
     assert gamma(3)[1] == (1, 3, 2)
-
-
-def reference_gamma(n):
-    """The depth-first gamma search as first written, with its own extension test."""
-    best_len = 0
-    best = ()
-
-    def extension_ok(seq):
-        m = len(seq)
-        last = seq[-1]
-        for k in range(1, m):
-            d = last - seq[m - 1 - k]
-            for i in range(m - 1 - k):
-                if seq[i + k] - seq[i] == d:
-                    return False
-        return True
-
-    def search(seq, used):
-        nonlocal best_len, best
-        if len(seq) > best_len:
-            best_len = len(seq)
-            best = tuple(seq)
-            if best_len == n:
-                return True
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if used & bit:
-                continue
-            seq.append(v)
-            if extension_ok(seq) and search(seq, used | bit):
-                return True
-            seq.pop()
-        return False
-
-    search([], 0)
-    return best_len, best
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -375,7 +318,7 @@ def test_gamma_witness_is_the_first_costas_permutation_past_the_reference_range(
     # the first Costas permutation in ascending order, from the RowsRule walk and the
     # reference search: about 1 s at order 14 and 3 s at order 15, most of it the
     # reference search
-    assert naive_is_costas(witness)
+    assert repeat_free_rows(witness) == len(witness) - 1
     assert gamma(n) == reference_gamma(n) == (n, witness)
 
 

@@ -8,21 +8,11 @@ p1 < pn < n+1-p1 and B those with pn = n+1-p1 > p1.  Then each task's
 weighed count must be the filter's weighed sum over the task's prefix.
 """
 import collections
-import functools
-import itertools
 
 import pytest
 
 from permderiv import search
-
-
-def repeat_free_rows(t):
-    """How many rows of t's difference triangle, from row 1, have no repeated difference."""
-    for k in range(1, len(t)):
-        row = [t[i + k] - t[i] for i in range(len(t) - k)]
-        if len(set(row)) != len(row):
-            return k - 1
-    return len(t) - 1
+from naive import filtered
 
 
 def rules(n):
@@ -31,18 +21,6 @@ def rules(n):
     yield "costas", None, search.RowsRule()
     for k in range(-1, n):
         yield f"k-costas={k}", k, search.RowsRule(k)
-
-
-@functools.cache
-def judged(n):
-    """Each order-n permutation with its repeat_free_rows, shared by the tests."""
-    return [(t, repeat_free_rows(t)) for t in itertools.permutations(range(1, n + 1))]
-
-
-def filtered(n, k):
-    """The order-n matches of rows 1..k repeat-free (every row when k is None), by the n!-filter."""
-    need = n - 1 if k is None else min(max(k, 0), n - 1)
-    return [t for t, rows in judged(n) if rows >= need]
 
 
 def weight(t):

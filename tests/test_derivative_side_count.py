@@ -76,9 +76,12 @@ def test_halved_derivative_side_count_equals_the_whole_walk(n):
 
 
 @pytest.mark.slow
-def test_order_11_one_costas_count_from_both_sides():
-    # past the oracles' reach: about 9 s halved (14 s whole), run with pytest -m slow
-    assert derivative_side_count(11, halved=True) == count_one_costas(11).count == 1104876
+@pytest.mark.parametrize("k", range(1, 11))
+def test_order_11_k_costas_counts_from_both_sides(k):
+    # past the oracles' reach: 1,104,876 (about 9 s halved), 63,168, 10,936 and 4,872 for
+    # K = 1..4, then the Costas count (about 2.5 s each)
+    expected = {1: 1104876, 2: 63168, 3: 10936, 4: 4872}.get(k, 4368)
+    assert derivative_side_count(11, k, halved=True) == search.matches(f"k-costas={k}", 11) == expected
 
 
 @pytest.mark.slow

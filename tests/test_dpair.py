@@ -1,4 +1,3 @@
-import itertools
 from math import gcd
 
 import pytest
@@ -16,10 +15,7 @@ from permderiv import (
     is_dpair_realization,
     is_feasible_dpair,
 )
-
-
-def all_perms(n):
-    return (Permutation(t) for t in itertools.permutations(range(1, n + 1)))
+from naive import all_perms
 
 
 def test_dpair_type():

@@ -41,10 +41,7 @@ from permderiv import (
     variation,
 )
 from permderiv.dpair import construct_dpair, inverse_dpair
-
-
-def all_perms(n):
-    return (Permutation(t) for t in itertools.permutations(range(1, n + 1)))
+from naive import all_perms
 
 
 def test_permutation_validation():
@@ -445,8 +442,7 @@ def test_transforms_basic():
 
 
 def test_rotate90_matches_matrix_rotation():
-    for t in itertools.permutations(range(1, 6)):
-        p = Permutation(t)
+    for p in all_perms(5):
         m = matrix(p)
         n = p.n
         rotated = tuple(tuple(m[j][n - 1 - i] for j in range(n)) for i in range(n))

@@ -1,14 +1,12 @@
 """The property registry against the package: every form of search.PROPERTIES, instanced,
 gives check the verdict of the package's own predicate on every permutation of order 1..6,
-and each searchable form counts and lists exactly the permutations check accepts."""
+and each searchable form counts the permutations check accepts and lists exactly them, in order."""
 import functools
-import itertools
 import json
 
 import pytest
 
 from permderiv import (
-    Permutation,
     cli,
     is_centrosymmetric,
     is_convex,
@@ -21,6 +19,8 @@ from permderiv import (
     search,
 )
 from permderiv.dpair import DPair
+from naive import all_perms
+from test_cli import run
 
 
 def _instances(n: int):
@@ -57,12 +57,6 @@ def _verdict(call):
         return f"error: {error}"
 
 
-def _run(capsys, *argv):
-    code = cli.run(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def _printed(verdict) -> tuple[int, str, str]:
     """What check prints for a verdict: exit code, stdout and stderr."""
     if isinstance(verdict, str):
@@ -76,22 +70,24 @@ def test_the_instances_cover_every_form():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_check_is_the_packages_verdict_and_search_finds_what_check_accepts(capsys, n):
-    perms = [Permutation(entries) for entries in itertools.permutations(range(1, n + 1))]
+    perms = list(all_perms(n))
     for text, predicate in _instances(n):
-        accepted = 0
+        accepted = []
         for p in perms:
             expected = _verdict(lambda: predicate(p))
             if n <= 4:  # the whole request
-                assert _run(capsys, "check", "--property", text, str(p)) == _printed(expected), (text, p)
+                assert run(capsys, "check", "--property", text, str(p)) == _printed(expected), (text, p)
             else:  # the registry's predicate
                 assert _verdict(lambda: cli._check_property(text)(p)) == expected, (text, p)
-            accepted += expected is True
+            if expected is True:
+                accepted.append(str(p))
         if _name(text) not in SEARCHABLE_NAMES:
             continue
-        code, out, err = _run(capsys, "count", "--property", text, "--n", str(n), "--format", "json")
-        listed = _run(capsys, "enumerate", "--property", text, "--n", str(n))
+        code, out, err = run(capsys, "count", "--property", text, "--n", str(n), "--format", "json")
+        listed = run(capsys, "enumerate", "--property", text, "--n", str(n))
         if isinstance(expected, str):  # a K the order refuses: every request says so alike
             assert (code, out, err) == listed == (2, "", expected + "\n"), text
             continue
         assert (code, err, listed[0], listed[2]) == (0, "", 0, ""), text
-        assert json.loads(out)["result"]["count"] == len(listed[1].splitlines()) == accepted, text
+        assert json.loads(out)["result"]["count"] == len(accepted), text
+        assert listed[1].splitlines() == accepted, text

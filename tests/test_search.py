@@ -1,6 +1,5 @@
 import collections
 import errno
-import functools
 import itertools
 import math
 import operator
@@ -21,75 +20,40 @@ from permderiv.search import (
     k_costas_prefix_ok,
     one_costas_prefix_ok,
 )
-from test_costas import reference_gamma
+from naive import (
+    filter_first,
+    filtered,
+    naive_count,
+    naive_is_convex,
+    naive_longest_prefix,
+    naive_walk_calls,
+    reference_gamma,
+    repeat_free,
+)
 
 # the orders each walk spreads from, read before any fixture lowers them
 SPREAD_ORDER, FIRST_HIT_SPREAD_ORDER = search._SPREAD_ORDER, search._FIRST_HIT_SPREAD_ORDER
 
 
-def naive_count(n, full_predicate):
-    return sum(1 for t in itertools.permutations(range(1, n + 1)) if full_predicate(t))
-
-
-def naive_is_one_costas(t):
-    d = [t[i + 1] - t[i] for i in range(len(t) - 1)]
-    return len(set(d)) == len(d)
-
-
-def naive_is_costas(t):
-    n = len(t)
-    for k in range(1, n):
-        d = [t[i + k] - t[i] for i in range(n - k)]
-        if len(set(d)) != len(d):
-            return False
-    return True
-
-
-def naive_is_convex(t):
-    d = [t[i + 1] - t[i] for i in range(len(t) - 1)]
-    return all(d[i] <= d[i + 1] for i in range(len(d) - 1))
-
-
-def naive_is_k_costas(k):
-    return lambda t: all(
-        len({t[i + j] - t[i] for i in range(len(t) - j)}) == len(t) - j for j in range(1, min(k, len(t) - 1) + 1)
-    )
-
-
-# Every shipped rule with its full-permutation oracle.  k <= 0 checks no row.
+# Every shipped rule with its naive test of a whole permutation.  k <= 0 checks no row.
 SHIPPED_RULES = {
-    "one-costas": (one_costas_prefix_ok, naive_is_one_costas),
-    "costas": (costas_prefix_ok, naive_is_costas),
+    "one-costas": (one_costas_prefix_ok, repeat_free(1)),
+    "costas": (costas_prefix_ok, repeat_free(None)),
     "convex": (convex_prefix_ok, naive_is_convex),
-    "k-costas-0": (k_costas_prefix_ok(0), lambda t: True),
-    "k-costas-2": (k_costas_prefix_ok(2), naive_is_k_costas(2)),
-    "k-costas-3": (k_costas_prefix_ok(3), naive_is_k_costas(3)),
-    "k-costas--1": (k_costas_prefix_ok(-1), lambda t: True),
+    "k-costas-0": (k_costas_prefix_ok(0), repeat_free(0)),
+    "k-costas-2": (k_costas_prefix_ok(2), repeat_free(2)),
+    "k-costas-3": (k_costas_prefix_ok(3), repeat_free(3)),
+    "k-costas--1": (k_costas_prefix_ok(-1), repeat_free(-1)),
 }
+
+
+def rows_rules(n):
+    """One-Costas, Costas and k-Costas K for K from -1 to n-1, and to 3 at every order, as SHIPPED_RULES has them."""
+    return one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(-1, max(n, 4)))
 
 
 def weighted(t):
     return sum(i * v for i, v in enumerate(t, 1)) % 7
-
-
-@functools.cache
-def naive_walk_calls(n, prefix_ok):
-    """The prefixes a plain depth-first walk over first entries hands prefix_ok, in order
-    (one list per input, shared by the tests that read it)."""
-    calls = []
-
-    def walk(prefix):
-        for v in range(1, n + 1):
-            if v in prefix:
-                continue
-            prefix.append(v)
-            calls.append(tuple(prefix))
-            if prefix_ok(prefix):
-                walk(prefix)
-            prefix.pop()
-
-    walk([])
-    return calls
 
 
 def test_spec_validation():
@@ -110,19 +74,8 @@ def test_count_everything():
     assert search.enumerate(spec) == 6
 
 
-@pytest.mark.parametrize(
-    "prefix_ok,full",
-    [
-        (one_costas_prefix_ok, naive_is_one_costas),
-        (costas_prefix_ok, naive_is_costas),
-        (convex_prefix_ok, naive_is_convex),
-        (k_costas_prefix_ok(2), lambda t: all(
-            len({t[i + k] - t[i] for i in range(len(t) - k)}) == len(t) - k
-            for k in range(1, min(2, len(t) - 1) + 1)
-        )),
-    ],
-    ids=["one-costas", "costas", "convex", "k-costas-2"],
-)
+# the RowsRule counts are checked against the filter in test_rows_rule_counts_equal_the_filter
+@pytest.mark.parametrize("prefix_ok,full", [(convex_prefix_ok, naive_is_convex)], ids=["convex"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_oracle_equivalence(n, prefix_ok, full):
     spec = SearchSpec(n=n, prefix_ok=prefix_ok)
@@ -135,7 +88,7 @@ def test_collect_is_lexicographic():
     assert len(perms) == 44
     entries = [p.entries for p in perms]
     assert entries == sorted(entries)
-    assert all(naive_is_one_costas(t) for t in entries)
+    assert all(map(repeat_free(1), entries))
 
 
 def test_optimize_max_global_variation():
@@ -168,7 +121,7 @@ def test_optimize_min_direction():
     )
     value, witness = search.enumerate(spec)
     assert value == 3
-    assert naive_is_one_costas(witness.entries)
+    assert repeat_free(1)(witness.entries)
 
 
 def test_optimize_nothing_accepted():
@@ -204,11 +157,10 @@ def test_worker_counts_do_not_change_results(workers):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_reduced_counts_equal_the_unreduced_walk(n):
-    # a plain callable is never reduced, so the wrapped rule walks the whole tree
-    for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(n))):
-        whole = search.enumerate(SearchSpec(n=n, prefix_ok=lambda prefix, rule=rule: rule(prefix)))
-        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == whole
+def test_rows_rule_counts_equal_the_filter(n):
+    # a count walks about a quarter of the tree, weighed; the filter judges all n! permutations
+    for rule in rows_rules(n):
+        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule)) == len(filtered(n, rule.k))
 
 
 @pytest.mark.parametrize("rule", [one_costas_prefix_ok, k_costas_prefix_ok(1)], ids=["one-costas", "k-costas-1"])
@@ -217,7 +169,7 @@ def test_row1_counts_from_every_depth_equal_the_filter(n, rule):
     # a row-1 count carries only the last value; from every depth, one free value
     # left (n-1) and a whole permutation (n) among them, each task counts the
     # filter's matches with its prefix weighed by last value, a whole permutation 1
-    accepted = [t for t in itertools.permutations(range(1, n + 1)) if naive_is_one_costas(t)]
+    accepted = filtered(n, 1)
     for depth in range(1, n + 1):
         expected = collections.Counter()
         for t in accepted:
@@ -230,42 +182,28 @@ def test_row1_counts_from_every_depth_equal_the_filter(n, rule):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_rows_rules_walk_as_their_wrapped_calls(n):
-    # the walker tests a RowsRule inline but calls a lambda whole on each prefix
-    for rule in (one_costas_prefix_ok, costas_prefix_ok, *map(k_costas_prefix_ok, range(-1, n))):
-        wrapped = lambda prefix, rule=rule: rule(prefix)
-        whole = search.enumerate(SearchSpec(n=n, prefix_ok=wrapped, mode="collect"))
-        assert search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect")) == whole
-        for direction, pick in (("max", max), ("min", min)):
-            best = pick(weighted(p.entries) for p in whole)
-            first_best = next(p for p in whole if weighted(p.entries) == best)
+def test_rows_rule_walks_equal_the_filter(n):
+    # collect lists the filter's matches in order, optimize gives their first best, and
+    # longest_prefix the first longest sequence whose every prefix the naive rows test accepts
+    for rule in rows_rules(n):
+        expected = filtered(n, rule.k)
+        assert [p.entries for p in search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect"))] == expected
+        for direction in ("max", "min"):
             spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted, direction=direction)
-            assert search.enumerate(spec) == (best, first_best)
-        assert search.longest_prefix(rule, n) == naive_longest_prefix(n, rule)
-
-
-def filter_first(prefix_ok, n, reach, prefix):
-    """The n!-filter's _first_rows: the first tail, in ascending order, of reach - len(prefix)
-    values from 1..n outside prefix such that prefix_ok accepts every nonempty prefix of
-    prefix + tail, that sequence, or () when there is none.  The longest prefix is
-    asked first, as it is the one most often refused."""
-    rest = sorted(set(range(1, n + 1)).difference(prefix))
-    for tail in itertools.permutations(rest, reach - len(prefix)):
-        t = prefix + tail
-        if all(prefix_ok(list(t[:i])) for i in range(reach, 0, -1)):
-            return t
-    return ()
+            assert search.enumerate(spec) == first_best(expected, weighted, direction)
+        assert search.longest_prefix(rule, n) == naive_longest_prefix(n, repeat_free(rule.k))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_rows_rule_first_hits_equal_the_wrapped_walks(n):
+def test_rows_rule_first_hits_equal_the_filter(n):
     # from every task of depth 1..3, the RowsRule recursion finds the first sequence of
-    # each reach that filtering the task's tails finds, the rule called whole on each prefix
+    # each reach that filtering the task's tails with the naive rows test finds
     for rule in (costas_prefix_ok, *map(k_costas_prefix_ok, range(-1, n))):
         for depth in range(1, min(n, 3) + 1):
             for prefix, state in search._frontier(rule, n, depth):
                 for reach in range(depth, n + 1):
-                    assert search._first_rows(rule, n, reach, prefix, state) == filter_first(rule, n, reach, prefix)
+                    expected = filter_first(repeat_free(rule.k), n, reach, prefix)
+                    assert search._first_rows(rule, n, reach, prefix, state) == expected
 
 
 @pytest.mark.parametrize("n,firsts", [(1, [1]), (6, [1, 2, 3]), (7, [1, 2, 3, 4])])
@@ -308,18 +246,18 @@ def test_only_rows_rule_counts_and_longest_prefix_walk_tasks(monkeypatch, n):
         raise AssertionError("_frontier called")
 
     monkeypatch.setattr(search, "_frontier", refused)
-    for rule, full in ((one_costas_prefix_ok, naive_is_one_costas), (naive_is_costas, naive_is_costas)):
-        expected = [t for t in itertools.permutations(range(1, n + 1)) if full(t)]
+    for rule, k in ((one_costas_prefix_ok, 1), (repeat_free(None), None)):
+        expected = filtered(n, k)
         assert [p.entries for p in search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect"))] == expected
         spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted)
         assert search.enumerate(spec) == first_best(expected, weighted, "max")
-    assert search.enumerate(SearchSpec(n=n, prefix_ok=naive_is_one_costas)) == naive_count(n, naive_is_one_costas)
+    assert search.enumerate(SearchSpec(n=n, prefix_ok=repeat_free(1))) == len(filtered(n, 1))
     reached = []
     monkeypatch.setattr(search, "_frontier", lambda *args: reached.append(args) or frontier(*args))
-    assert search.enumerate(SearchSpec(n=n, prefix_ok=one_costas_prefix_ok)) == naive_count(n, naive_is_one_costas)
+    assert search.enumerate(SearchSpec(n=n, prefix_ok=one_costas_prefix_ok)) == len(filtered(n, 1))
     assert reached
     reached.clear()
-    assert search.longest_prefix(costas_prefix_ok, n) == naive_longest_prefix(n, costas_prefix_ok)
+    assert search.longest_prefix(costas_prefix_ok, n) == naive_longest_prefix(n, repeat_free(None))
     assert reached
 
 
@@ -359,8 +297,8 @@ def tie_heavy_objectives(n):
 def test_halved_optimize_is_the_filters_first_best_under_ties(n, name):
     # optimize walks first values up to the middle and scores each match's complement
     # too; ties between a walked match and a complement go to the walked one
-    rule, full = SHIPPED_RULES[name]
-    matches = [t for t in itertools.permutations(range(1, n + 1)) if full(t)]
+    rule, _ = SHIPPED_RULES[name]
+    matches = filtered(n, rule.k)
     for objective in tie_heavy_objectives(n):
         for direction in ("max", "min"):
             spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=objective, direction=direction)
@@ -599,7 +537,7 @@ def test_fraction_rounding_is_half_up():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_count_costas_matches_naive(n):
-    assert count_costas(n) == naive_count(n, naive_is_costas)
+    assert count_costas(n) == len(filtered(n, None))
 
 
 def test_count_costas_bounds():
@@ -647,13 +585,7 @@ def test_longest_prefix_walks_again_for_a_shorter_length(monkeypatch, n):
     monkeypatch.setattr(search, "_first_rows", lambda rule, n, reach, prefix, state:
                         () if reach == n else first_rows(rule, n, reach, prefix, state))
     for rule in (one_costas_prefix_ok, costas_prefix_ok):
-        assert search.longest_prefix(rule, n) == filter_first(rule, n, n - 1, ())
-
-
-def naive_longest_prefix(n, prefix_ok):
-    """The first, in ascending order, of the longest sequences of distinct values from 1..n
-    whose every nonempty prefix prefix_ok accepts, by filtering all sequences of each length."""
-    return next(filter(None, (filter_first(prefix_ok, n, length, ()) for length in range(n, 0, -1))), ())
+        assert search.longest_prefix(rule, n) == filter_first(repeat_free(rule.k), n, n - 1, ())
 
 
 # Hereditary plain predicates whose longest accepted sequence is, from some
@@ -665,7 +597,7 @@ SHORT_PREFIXES = {
     "even-values": lambda prefix: prefix[-1] % 2 == 0,
     "no-adjacent-neighbours-at-most-4": lambda prefix: len(prefix) <= 4 and all(
         abs(a - b) > 1 for a, b in zip(prefix, prefix[1:])),
-    "one-costas-after-5": lambda prefix: prefix[0] >= 5 and naive_is_one_costas(prefix),
+    "one-costas-after-5": lambda prefix: prefix[0] >= 5 and repeat_free(1)(prefix),
     "none": lambda prefix: False,
 }
 
@@ -709,28 +641,23 @@ def test_shipped_rules_survive_pickle(name):
     assert search.enumerate(spec_copy) == search.enumerate(spec)
 
 
-@pytest.mark.parametrize("name", SHIPPED_RULES)
+# the RowsRules' collects and optimizes are checked in test_rows_rule_walks_equal_the_filter
+@pytest.mark.parametrize("name", [name for name, (rule, _) in SHIPPED_RULES.items() if not isinstance(rule, search.RowsRule)])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_shipped_rules_collect_and_optimize_match_filter(n, name):
     rule, full = SHIPPED_RULES[name]
     expected = [t for t in itertools.permutations(range(1, n + 1)) if full(t)]
     collected = search.enumerate(SearchSpec(n=n, prefix_ok=rule, mode="collect"))
     assert [p.entries for p in collected] == expected
-    for direction, pick in (("max", max), ("min", min)):
+    for direction in ("max", "min"):
         spec = SearchSpec(n=n, prefix_ok=rule, mode="optimize", objective=weighted, direction=direction)
-        if not expected:
-            assert search.enumerate(spec) is None
-            continue
-        best = pick(weighted(t) for t in expected)
-        first_best = next(t for t in expected if weighted(t) == best)
-        value, witness = search.enumerate(spec)
-        assert (value, witness.entries) == (best, first_best)
+        assert search.enumerate(spec) == first_best(expected, weighted, direction)
 
 
 @pytest.mark.parametrize("mode", ("count", "collect", "optimize"))
 def test_plain_callable_sees_the_naive_walks_prefixes(mode):
     # order 9 is past depth-1 tasks: a RowsRule would walk depth-3 ones there
-    for n, full in ((6, naive_is_one_costas), (9, naive_is_costas)):
+    for n, full in ((6, repeat_free(1)), (9, repeat_free(None))):
         calls = []
 
         def recorded(prefix):
@@ -754,9 +681,9 @@ def test_longest_prefix_stops_at_the_first_permutation(monkeypatch, n):
 
     monkeypatch.setattr(search, "_first_rows", recorded)
     depth = search._depth(n)
-    for rule, full in ((one_costas_prefix_ok, naive_is_one_costas), (costas_prefix_ok, naive_is_costas)):
+    for rule in (one_costas_prefix_ok, costas_prefix_ok):
         walked.clear()
-        first = next(t for t in itertools.permutations(range(1, n + 1)) if full(t))
+        first = next(filter(repeat_free(rule.k), itertools.permutations(range(1, n + 1))))
         assert search.longest_prefix(rule, n) == first
         tasks = [prefix for prefix, _ in search._frontier(rule, n, depth)]
         assert walked == [(n, prefix) for prefix in tasks[: tasks.index(first[:depth]) + 1]]

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from permderiv import (
@@ -22,15 +20,7 @@ from permderiv import (
     pi_star,
     rotate90,
 )
-
-
-def all_perms(n):
-    return (Permutation(t) for t in itertools.permutations(range(1, n + 1)))
-
-
-def distinct_diffs(p):
-    d = derivative(p).diffs
-    return len(set(d)) == len(d)
+from naive import all_perms, repeat_free
 
 
 def test_local_variation_examples():
@@ -183,14 +173,14 @@ def test_min_local_construction_known_derivatives():
 @pytest.mark.parametrize("n", range(2, 25))
 def test_min_local_construction_properties(n):
     p = construct_min_local_1costas(n)
-    assert distinct_diffs(p)
+    assert repeat_free(1)(p.entries)
     assert local_variation(p) == (n + 1) // 2
     assert global_variation(p) == min_global_1costas(n)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_one_costas_variation_bounds_exhaustive(n):
-    eligible = [p for p in all_perms(n) if distinct_diffs(p)]
+    eligible = [p for p in all_perms(n) if repeat_free(1)(p.entries)]
     assert min(local_variation(p) for p in eligible) == (n + 1) // 2
     assert min(global_variation(p) for p in eligible) == min_global_1costas(n)
 
@@ -224,7 +214,7 @@ def test_maximin_construction_attains_bound(n):
 @pytest.mark.parametrize("n", (997, 1000, 2001, 5000))
 def test_constructions_scale_to_large_orders(n):
     p = construct_min_local_1costas(n)
-    assert distinct_diffs(p)
+    assert repeat_free(1)(p.entries)
     assert local_variation(p) == (n + 1) // 2
     assert global_variation(p) == min_global_1costas(n)
     q = construct_max_global(n)
